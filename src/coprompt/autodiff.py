@@ -316,10 +316,15 @@ def matmul(a, b):
     data = np.matmul(a.data, b.data)
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.data.shape))
-        _accumulate(b, _unbroadcast(gb, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        if not b.requires_grad:
+            return
+        if b.ndim == 2 and a.ndim > 2:
+            # a weight shared across a batch: one flat product sums the batch
+            _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        else:
+            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     return _from_op(data, (a, b), bw)
 
@@ -341,7 +346,10 @@ def sum_(a, axis=None, keepdims=False):
 
 def mean(a, axis=None, keepdims=False):
     a = _wrap(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
+    if axis is None:
+        n = a.data.size
+    else:
+        n = int(np.prod([a.data.shape[ax] for ax in np.atleast_1d(axis)]))
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
@@ -366,13 +374,37 @@ def concat(tensors, axis=0):
 
 
 def slice_(a, idx):
+    """a[idx] for basic and advanced (integer array) indices.
+
+    An advanced index may name one position more than once, so its backward
+    adds every row's gradient with `np.add.at`; plain slices assign.
+    """
     a = _wrap(a)
     data = np.array(a.data[idx])
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    advanced = any(isinstance(i, (list, np.ndarray)) for i in parts)
 
     def bw(g):
         ga = np.zeros_like(a.data)
-        ga[idx] += g
+        if advanced:
+            np.add.at(ga, idx, g)
+        else:
+            ga[idx] = g
         _accumulate(a, ga)
+
+    return _from_op(data, (a,), bw)
+
+
+def broadcast_to(a, shape):
+    """Broadcast `a` to `shape` as numpy does; backward sums the copies."""
+    a = _wrap(a)
+    try:
+        data = np.broadcast_to(a.data, shape)
+    except ValueError:
+        raise ShapeError(f"broadcast_to: cannot broadcast {a.shape} to {tuple(shape)}") from None
+
+    def bw(g):
+        _accumulate(a, _unbroadcast(g, a.data.shape))
 
     return _from_op(data, (a,), bw)
 
@@ -425,7 +457,10 @@ def relu(a):
 
 def gelu(a):
     a = _wrap(a)
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
+    cdf = a.data * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     data = a.data * cdf
 
     def bw(g):
@@ -545,11 +580,6 @@ def cross_entropy_from_logits(logits, labels):
         _accumulate(logits, p[0] if logits.ndim == 1 else p)
 
     return _from_op(np.asarray(data), (logits,), bw)
-
-
-def stack_rows(tensors):
-    """Stack same-shape tensors along a new leading axis."""
-    return concat([reshape(t, (1,) + t.shape) for t in tensors], axis=0)
 
 
 _OPS = {

@@ -248,7 +248,7 @@ def cmd_finetune(cfg):
     result = finetune(backbone, train_cfg, split, out_dir=out,
                       max_steps=max_steps, backbone_ref=bb_dir)
     resolved = {"backbone": bb_dir, "dataset": ds_dir, "out": out,
-                "train": train_cfg.to_dict(),
+                "train": train_cfg.to_dict(), "max_steps": max_steps,
                 "backbone_hash": backbone_hash(bb_dir),
                 "dataset_hash": dataset.content_hash}
     _echo_config(out, resolved)

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
+from .datasets import TEMPLATE_PROMPT
 
 CRITERIA = ("cosine", "l1", "mse")
 MODALITIES = ("text_only", "image_only", "both")
@@ -74,7 +75,7 @@ class DescriptionStore:
                     raise ValueError(
                         f"description for {name!r} has {len(t)} tokens > text_len {text_len}: {s!r}")
             self._tokens[name] = toks
-            self._templates[name] = tokenizer.encode(f"a photo of a {name}")
+            self._templates[name] = tokenizer.encode(TEMPLATE_PROMPT.format(name=name))
 
     @staticmethod
     def from_manifest(manifest, tokenizer, text_len):
@@ -89,10 +90,13 @@ class DescriptionStore:
             raise KeyError(f"unknown class {class_name!r}")
         return self._templates[class_name]
 
-    def sample_tokens(self, class_name, rng):
+    def description_tokens(self, class_name):
         if class_name not in self._tokens:
             raise KeyError(f"unknown class {class_name!r}")
-        choices = self._tokens[class_name]
+        return self._tokens[class_name]
+
+    def sample_tokens(self, class_name, rng):
+        choices = self.description_tokens(class_name)
         return choices[int(rng.integers(len(choices)))]
 
 

@@ -29,6 +29,7 @@ from .checkpoints import (
     write_json,
     write_tensor,
 )
+from .datasets import TEMPLATE_PROMPT
 
 PAD_ID, SOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 SPECIALS = ("<pad>", "<sos>", "<eos>", "<unk>")
@@ -76,7 +77,7 @@ class Tokenizer:
 
     @staticmethod
     def from_manifests(manifests):
-        words = list(Tokenizer.normalize("a photo of a"))
+        words = list(Tokenizer.normalize(TEMPLATE_PROMPT.format(name="")))
         for m in manifests:
             for cls in m.classes:
                 words.extend(Tokenizer.normalize(cls.name))
@@ -131,13 +132,13 @@ class EncoderConfig:
         return EncoderConfig(**d)
 
 
-def patchify(image, grid):
-    """(H, W, C) -> (grid*grid, patch_dim), non-overlapping row-major patches."""
-    h, w, c = image.shape
+def patchify(images, grid):
+    """(..., H, W, C) -> (..., grid*grid, patch_dim), non-overlapping row-major patches."""
+    *lead, h, w, c = images.shape
     side = h // grid
-    patches = image.reshape(grid, side, grid, side, c)
-    patches = patches.transpose(0, 2, 1, 3, 4)
-    return patches.reshape(grid * grid, side * side * c)
+    patches = images.reshape(*lead, grid, side, grid, side, c)
+    patches = np.swapaxes(patches, -4, -3)
+    return patches.reshape(*lead, grid * grid, side * side * c)
 
 
 class DualEncoder:
@@ -236,83 +237,121 @@ class DualEncoder:
 
     # -- forward -------------------------------------------------------------
 
-    def _block(self, branch, j, x):
+    def _attention(self, p, h):
+        """Multi-head self-attention of a (B, S, width) batch, output-projected."""
         w = self.weights
         cfg = self.config
-        p = f"{branch}.h{j}."
-        s = x.shape[0]
+        b, s = h.shape[0], h.shape[1]
         heads, hd = cfg.heads, cfg.width // cfg.heads
+        split = (b, s, heads, hd)
+        q = ad.transpose(ad.reshape(h @ w[p + "attn.wq"] + w[p + "attn.bq"], split), (0, 2, 1, 3))
+        k = ad.transpose(ad.reshape(h @ w[p + "attn.wk"] + w[p + "attn.bk"], split), (0, 2, 3, 1))
+        v = ad.transpose(ad.reshape(h @ w[p + "attn.wv"] + w[p + "attn.bv"], split), (0, 2, 1, 3))
+        att = ad.softmax(ad.matmul(q, k) * (1.0 / np.sqrt(hd)), axis=-1)
+        o = ad.reshape(ad.transpose(ad.matmul(att, v), (0, 2, 1, 3)), (b, s, cfg.width))
+        return o @ w[p + "attn.wo"] + w[p + "attn.bo"]
 
-        h = ad.layernorm(x) * w[p + "ln1.g"] + w[p + "ln1.b"]
-        q = h @ w[p + "attn.wq"] + w[p + "attn.bq"]
-        k = h @ w[p + "attn.wk"] + w[p + "attn.bk"]
-        v = h @ w[p + "attn.wv"] + w[p + "attn.bv"]
-        q = ad.transpose(ad.reshape(q, (s, heads, hd)), (1, 0, 2))
-        k = ad.transpose(ad.reshape(k, (s, heads, hd)), (1, 0, 2))
-        v = ad.transpose(ad.reshape(v, (s, heads, hd)), (1, 0, 2))
-        scores = ad.matmul(q, ad.transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(hd))
-        att = ad.softmax(scores, axis=-1)
-        o = ad.reshape(ad.transpose(ad.matmul(att, v), (1, 0, 2)), (s, cfg.width))
-        x = x + (o @ w[p + "attn.wo"] + w[p + "attn.bo"])
-
-        h2 = ad.layernorm(x) * w[p + "ln2.g"] + w[p + "ln2.b"]
-        x = x + (ad.gelu(h2 @ w[p + "mlp.w1"] + w[p + "mlp.b1"]) @ w[p + "mlp.w2"]
-                 + w[p + "mlp.b2"])
-        return x
+    def _block(self, branch, j, x):
+        w = self.weights
+        p = f"{branch}.h{j}."
+        x = x + self._attention(p, ad.layernorm(x) * w[p + "ln1.g"] + w[p + "ln1.b"])
+        h = ad.layernorm(x) * w[p + "ln2.g"] + w[p + "ln2.b"]
+        return x + (ad.gelu(h @ w[p + "mlp.w1"] + w[p + "mlp.b1"]) @ w[p + "mlp.w2"]
+                    + w[p + "mlp.b2"])
 
     def _run_layers(self, branch, x, prompts):
+        """Run the (B, S, width) batch through every block; returns (x, m).
+
+        Each (m, width) prompt is broadcast over the batch once, prepended
+        at layer 0 and swapped in for the first m positions at deeper
+        prompted layers.
+        """
         m = prompts[0].shape[0] if prompts else 0
-        depth = len(prompts) if prompts else 0
-        if m > 0 and depth > 0:
-            x = ad.concat([prompts[0], x], axis=0)
+        if m > 0:
+            prompts = [ad.broadcast_to(u, (x.shape[0],) + u.shape) for u in prompts]
+            x = ad.concat([prompts[0], x], axis=1)
         for j in range(self.config.layers):
-            if m > 0 and 0 < j < depth:
-                x = ad.concat([prompts[j], ad.slice_(x, slice(m, None))], axis=0)
+            if m > 0 and 0 < j < len(prompts):
+                x = ad.concat([prompts[j], ad.slice_(x, (slice(None), slice(m, None)))],
+                              axis=1)
             x = self._block(branch, j, x)
         return x, m
 
     def _project(self, branch, pooled):
+        """(B, width) pooled features -> (B, embed_dim) unit-norm embeddings."""
         w = self.weights
-        e = ad.reshape(pooled, (1, self.config.width)) @ w[f"{branch}.proj.w"]
-        e = ad.reshape(e, (self.config.embed_dim,)) + w[f"{branch}.proj.b"]
-        return ad.l2_normalize(e)
+        return ad.l2_normalize(pooled @ w[f"{branch}.proj.w"] + w[f"{branch}.proj.b"])
 
     def encode_text(self, tokens, prompts=None):
-        """Encode a token id sequence into a unit-norm joint embedding.
+        """Encode token id sequences into unit-norm joint embeddings.
 
-        `prompts` is a list of per-layer (m, width) tensors; layer 0 is
-        prepended, deeper prompted layers have their first m rows replaced.
+        `tokens` is one sequence of ints, giving an (embed_dim,) embedding,
+        or a sequence of such sequences, giving (B, embed_dim) rows in input
+        order. Pass a batch as a list of tuples: tuples hash, so callers can
+        key results by sentence. Sequences may differ in length: each length
+        runs as its own dense group, so no row sees padding, and a row agrees
+        with a one-sentence call up to rounding. `prompts` is a list of
+        per-layer (m, width) tensors; layer 0 is prepended, deeper prompted
+        layers have their first m rows replaced.
         """
         cfg = self.config
-        tokens = list(tokens)
-        n = len(tokens)
+        seqs = list(tokens)
+        single = bool(seqs) and np.ndim(seqs[0]) == 0
+        if single:
+            seqs = [seqs]
+        if not seqs:
+            raise ShapeError("encode_text: empty batch")
         m = prompts[0].shape[0] if prompts else 0
-        if n + m > cfg.text_len:
-            raise ShapeError(
-                f"text sequence of {n} tokens plus {m} prompts exceeds text_len {cfg.text_len}")
-        if n == 0:
-            raise ShapeError("encode_text: empty token sequence")
+        groups = {}
+        for i, seq in enumerate(seqs):
+            n = len(seq)
+            if n == 0:
+                raise ShapeError("encode_text: empty token sequence")
+            if n + m > cfg.text_len:
+                raise ShapeError(
+                    f"text sequence of {n} tokens plus {m} prompts exceeds text_len {cfg.text_len}")
+            groups.setdefault(n, []).append(i)
         w = self.weights
-        x = ad.embedding_lookup(w["text.tok_emb"], tokens) + ad.slice_(w["text.pos_emb"], slice(0, n))
-        x, m = self._run_layers("text", x, prompts)
+        pooled, order = [], []
+        for n, rows in groups.items():
+            ids = np.asarray([seqs[i] for i in rows], dtype=np.int64)
+            x = ad.embedding_lookup(w["text.tok_emb"], ids) + ad.slice_(w["text.pos_emb"], slice(0, n))
+            x, _ = self._run_layers("text", x, prompts)
+            pooled.append(ad.slice_(x, (slice(None), m + n - 1)))  # EOS position
+            order.extend(rows)
+        # one concat and one gather put the length groups back in input order
+        x = ad.slice_(ad.concat(pooled, axis=0), np.argsort(order))
         x = ad.layernorm(x) * w["text.lnf.g"] + w["text.lnf.b"]
-        pooled = ad.slice_(x, m + n - 1)  # EOS position
-        return self._project("text", pooled)
+        e = self._project("text", x)
+        return ad.reshape(e, (cfg.embed_dim,)) if single else e
 
-    def encode_image(self, image, prompts=None):
-        """Encode an (image_size, image_size, channels) array in [0, 1]."""
+    def encode_image(self, images, prompts=None):
+        """Encode images with pixel values in [0, 1].
+
+        One (image_size, image_size, channels) array gives an (embed_dim,)
+        embedding; a (B, image_size, image_size, channels) batch gives
+        (B, embed_dim) rows. `prompts` is a list of per-layer (m, width)
+        vision prompt tensors, injected as in `encode_text`.
+        """
         cfg = self.config
-        img = np.asarray(image, dtype=np.float64)
+        imgs = np.asarray(images)
         expected = (cfg.image_size, cfg.image_size, cfg.channels)
-        if img.shape != expected:
-            raise ShapeError(f"image shape {img.shape} does not match {expected}")
+        if imgs.ndim not in (3, 4) or imgs.shape[-3:] != expected:
+            raise ShapeError(f"image shape {imgs.shape} does not match {expected} "
+                             f"or (B,) + {expected}")
+        single = imgs.ndim == 3
+        if single:
+            imgs = imgs[None]
+        if imgs.shape[0] == 0:
+            raise ShapeError("encode_image: empty batch")
         w = self.weights
-        patches = Tensor(patchify(img, cfg.patch_grid))
+        patches = Tensor(patchify(imgs, cfg.patch_grid))
         x = patches @ w["img.patch.w"] + w["img.patch.b"] + w["img.pos_emb"]
         x, m = self._run_layers("img", x, prompts)
+        x = ad.slice_(x, (slice(None), slice(m, m + cfg.num_patches)))
         x = ad.layernorm(x) * w["img.lnf.g"] + w["img.lnf.b"]
-        pooled = ad.mean(ad.slice_(x, slice(m, m + cfg.num_patches)), axis=0)
-        return self._project("img", pooled)
+        e = self._project("img", ad.mean(x, axis=1))
+        return ad.reshape(e, (cfg.embed_dim,)) if single else e
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +374,20 @@ class PretrainSplit:
 
 
 def build_pretrain_split(datasets, tokenizer, heldout_pool="val"):
-    """Image/caption pairs over full class sets, mirroring broad pretraining."""
+    """Image/caption pairs over full class sets, mirroring broad pretraining.
+
+    Captions and class templates are token id tuples, ready for a batched
+    `encode_text` call.
+    """
     examples, heldout, templates = [], [], []
     class_index = {}
     for ds in datasets:
         for cls in ds.manifest.classes:
             key = (ds.manifest.name, cls.id)
             class_index[key] = len(templates)
-            templates.append(tokenizer.encode(f"a photo of a {cls.name}"))
-            captions = [tokenizer.encode(f"a photo of a {cls.name}")]
-            captions += [tokenizer.encode(d) for d in cls.descriptions]
+            template = tuple(tokenizer.encode(TEMPLATE_PROMPT.format(name=cls.name)))
+            templates.append(template)
+            captions = [template] + [tuple(tokenizer.encode(d)) for d in cls.descriptions]
             for idx in ds.pool_indices(cls.id, "train"):
                 examples.append(PretrainExample(ds.records[idx].pixels, captions,
                                                 class_index[key]))
@@ -370,12 +413,10 @@ def _clip_global_norm(params, max_norm):
 def retrieval_accuracy(enc, examples, class_templates):
     """Image-to-text retrieval over the class template sentences."""
     with ad.no_grad():
-        text = np.stack([enc.encode_text(t).data for t in class_templates])
-        correct = 0
-        for ex in examples:
-            img = enc.encode_image(ex.pixels).data
-            correct += int(np.argmax(text @ img)) == ex.class_index
-    return correct / len(examples)
+        text = enc.encode_text(class_templates).data
+        img = enc.encode_image(np.stack([ex.pixels for ex in examples])).data
+    predicted = np.argmax(img @ text.T, axis=1)
+    return float(np.mean(predicted == [ex.class_index for ex in examples]))
 
 
 def contrastive_pretrain(enc, split: PretrainSplit, epochs=6, lr=0.05,
@@ -440,13 +481,9 @@ def contrastive_pretrain(enc, split: PretrainSplit, epochs=6, lr=0.05,
         for c in chosen:
             members = by_class[class_ids[int(c)]]
             batch.append(members[int(rng.integers(len(members)))])
-        img_embs, txt_embs = [], []
-        for ex in batch:
-            caption = ex.captions[int(rng.integers(len(ex.captions)))]
-            img_embs.append(enc.encode_image(ex.pixels))
-            txt_embs.append(enc.encode_text(caption))
-        img = ad.stack_rows(img_embs)
-        txt = ad.stack_rows(txt_embs)
+        captions = [ex.captions[int(rng.integers(len(ex.captions)))] for ex in batch]
+        img = enc.encode_image(np.stack([ex.pixels for ex in batch]))
+        txt = enc.encode_text(captions)
         logits = ad.matmul(img, ad.transpose(txt, (1, 0))) / ad.exp(log_tau)
         labels = np.arange(len(batch))
         loss = 0.5 * (ad.cross_entropy_from_logits(logits, labels)

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .datasets import Dataset, DatasetError
+from .datasets import TEMPLATE_PROMPT, Dataset, DatasetError
 from .encoders import DualEncoder
 from .training import TunedModel
+from .tuning import PromptSet
 
 
 @dataclass
@@ -36,41 +37,22 @@ class EvalReport:
                 "split_ids": self.split_ids}
 
 
-class _BackboneModel:
-    """Adapter giving a raw frozen backbone the tuned-model surface."""
-
-    def __init__(self, backbone: DualEncoder):
-        self.backbone = backbone
-
-    @property
-    def tau(self):
-        return self.backbone.tau
-
-    @property
-    def tokenizer(self):
-        return self.backbone.tokenizer
-
-    def text_embedding(self, tokens):
-        return self.backbone.encode_text(tokens)
-
-    def image_embedding(self, image):
-        return self.backbone.encode_image(image)
-
-
 def _as_model(model):
+    """A raw backbone becomes a TunedModel with no prompts and no adapters."""
     if isinstance(model, DualEncoder):
-        return _BackboneModel(model)
+        cfg = model.config
+        return TunedModel(model, PromptSet(cfg.width, cfg.layers, m=0, depth=0),
+                          {"text": None, "image": None})
     if all(hasattr(model, a) for a in ("text_embedding", "image_embedding", "tau", "tokenizer")):
         return model
     raise TypeError(f"cannot evaluate object of type {type(model).__name__}")
 
 
 def _class_matrix(model, class_names):
-    embs = []
-    for name in class_names:
-        tokens = model.tokenizer.encode(f"a photo of a {name}", strict=True)
-        embs.append(model.text_embedding(tokens).data)
-    return np.stack(embs)
+    """(C, E) text embeddings of the class template sentences, one batch."""
+    tokens = [tuple(model.tokenizer.encode(TEMPLATE_PROMPT.format(name=name), strict=True))
+              for name in class_names]
+    return model.text_embedding(tokens).data
 
 
 def predict(model, image, class_names):
@@ -104,24 +86,23 @@ def harmonic_mean(base, novel):
 def _pool_accuracy(model, dataset: Dataset, class_ids, pool="test"):
     """Accuracy over a pool, predicting within the given class id set.
 
-    Returns (accuracy %, per-class dict). Class text embeddings are computed
-    once; prediction is argmax over similarity, identical to `predict`.
+    Returns (accuracy %, per-class dict). The class text embeddings and the
+    pool's images are each encoded in one batch; prediction is argmax over
+    similarity, identical to `predict`.
     """
     model = _as_model(model)
     names = [dataset.manifest.classes[cid].name for cid in class_ids]
+    samples = dataset.pool(class_ids, pool)
     with ad.no_grad():
         class_embs = _class_matrix(model, names)
-        correct = {cid: 0 for cid in class_ids}
-        totals = {cid: 0 for cid in class_ids}
-        for pos, cid in enumerate(class_ids):
-            for pixels, _ in dataset.pool([cid], pool):
-                emb = model.image_embedding(pixels).data
-                pred = int(np.argmax((class_embs @ emb) / model.tau))
-                correct[cid] += pred == pos
-                totals[cid] += 1
-    per_class = {dataset.manifest.classes[cid].name: 100.0 * correct[cid] / totals[cid]
-                 for cid in class_ids}
-    overall = 100.0 * sum(correct.values()) / sum(totals.values())
+        embs = model.image_embedding(np.stack([pixels for pixels, _ in samples])).data
+    predicted = np.argmax((embs @ class_embs.T) / model.tau, axis=1)
+    position = {cid: pos for pos, cid in enumerate(class_ids)}
+    truth = np.asarray([position[cid] for _, cid in samples])
+    hits = predicted == truth
+    per_class = {name: 100.0 * int(hits[truth == pos].sum()) / int((truth == pos).sum())
+                 for pos, name in enumerate(names)}
+    overall = 100.0 * int(hits.sum()) / len(samples)
     return overall, per_class
 
 

@@ -3,8 +3,10 @@
 The backbone stays frozen and doubles as the consistency teacher. Per step:
 sample a batch, perturb inputs, compute frozen embeddings without a graph
 and tuned (prompted + adapted) embeddings with one, apply
-``ce + lambda * cc``, and step SGD over the tuning parameters only. Class
-text embeddings for the supervised term are recomputed every step.
+``ce + lambda * cc``, and step SGD over the tuning parameters only. Every
+encoder call takes the whole batch at once. Class text embeddings for the
+supervised term are recomputed every step; the frozen text teacher only
+ever sees the fixed base-class sentences, so it is encoded once, at set-up.
 
 Training state (parameters, momentum, rng streams, epoch permutation) is
 serializable at full precision, so a restored run continues bit-for-bit.
@@ -171,17 +173,21 @@ class TunedModel:
         return self.backbone.tokenizer
 
     def text_embedding(self, tokens):
+        """One token sequence -> (E,), or a batch of them -> (B, E); see
+        `DualEncoder.encode_text`."""
         text_sched, _ = self.prompt_set.schedules()
         e = self.backbone.encode_text(tokens, prompts=text_sched)
         return apply_adapter(self.adapters.get("text"), e)
 
-    def image_embedding(self, image):
+    def image_embedding(self, images):
+        """One (H, W, C) image -> (E,), or a (B, H, W, C) batch -> (B, E)."""
         _, vision_sched = self.prompt_set.schedules()
-        e = self.backbone.encode_image(image, prompts=vision_sched)
+        e = self.backbone.encode_image(images, prompts=vision_sched)
         return apply_adapter(self.adapters.get("image"), e)
 
     def class_matrix(self, token_lists):
-        return ad.stack_rows([self.text_embedding(t) for t in token_lists])
+        """(C, E) tuned text embeddings of a batch of class sentences."""
+        return self.text_embedding(token_lists)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +238,14 @@ class Trainer:
         self.augmenter = Augmenter(cfg.consistency.perturb_image)
 
         names = data.base_class_names
-        self.class_tokens = [self.store.template_tokens(n) for n in names]
+        self.class_tokens = [tuple(self.store.template_tokens(n)) for n in names]
+        # frozen teacher row of every sentence the text branch is fed: the
+        # plain templates and every base-class description
+        sentences = list(dict.fromkeys(self.class_tokens + [
+            tuple(t) for n in names for t in self.store.description_tokens(n)]))
+        with ad.no_grad():
+            rows = backbone.encode_text(sentences).data
+        self.frozen_text = dict(zip(sentences, rows))
         self.history = []
         self.step = 0
         self.perm = None
@@ -270,29 +283,25 @@ class Trainer:
             views_frozen.append(va)
             views_tuned.append(vb)
 
-        img_batch = ad.stack_rows([self.model.image_embedding(v) for v in views_tuned])
+        img_batch = self.model.image_embedding(np.stack(views_tuned))
 
         if cfg.supervised_path == "tuned":
             ce = supervised_loss(img_batch, class_embs, labels, self.backbone.tau)
         else:
-            with ad.no_grad():
-                frozen_cls = np.stack([self.backbone.encode_text(t).data
-                                       for t in self.class_tokens])
+            frozen_cls = np.stack([self.frozen_text[t] for t in self.class_tokens])
             ce = supervised_loss(img_batch, Tensor(frozen_cls), labels, self.backbone.tau)
 
         cc = None
         if cons.enabled:
+            frozen_text = np.stack([
+                self.frozen_text[tuple(perturb_text(self.store,
+                                                    self.data.base_class_names[item.label],
+                                                    self.perturb_rng,
+                                                    descriptive=cons.perturb_text))]
+                for item in batch])
             with ad.no_grad():
-                frozen_text = np.stack([
-                    self.backbone.encode_text(
-                        perturb_text(self.store,
-                                     self.data.base_class_names[item.label],
-                                     self.perturb_rng,
-                                     descriptive=cons.perturb_text)).data
-                    for item in batch])
-                frozen_img = np.stack([self.backbone.encode_image(v).data
-                                       for v in views_frozen])
-            tuned_text = ad.stack_rows([ad.slice_(class_embs, int(y)) for y in labels])
+                frozen_img = self.backbone.encode_image(np.stack(views_frozen)).data
+            tuned_text = ad.slice_(class_embs, labels)
             try:
                 cc = consistency_loss(cons, frozen_text, tuned_text, frozen_img, img_batch)
             except ValueError as e:
@@ -387,28 +396,22 @@ def measure_train_state(model: TunedModel, data: FewShotSplit,
                         store: DescriptionStore, cons: ConsistencyConfig):
     """Mean CE, consistency value, and per-branch embedding deviation over
     the whole few-shot split on unperturbed inputs."""
+    templates = [tuple(store.template_tokens(n)) for n in data.base_class_names]
+    images = np.stack([item.pixels for item in data.items])
+    labels = np.asarray([item.label for item in data.items])
     with ad.no_grad():
-        templates = [store.template_tokens(n) for n in data.base_class_names]
-        class_embs = np.stack([model.text_embedding(t).data for t in templates])
-        frozen_cls = np.stack([model.backbone.encode_text(t).data for t in templates])
-        tau = model.tau
-        ce_sum = 0.0
-        tuned_rows, frozen_rows = [], []
-        for item in data.items:
-            emb = model.image_embedding(item.pixels).data
-            logits = (class_embs @ emb) / tau
-            z = logits - logits.max()
-            ce_sum += float(np.log(np.exp(z).sum()) - z[item.label])
-            tuned_rows.append(emb)
-            frozen_rows.append(model.backbone.encode_image(item.pixels).data)
-        tuned_img = np.stack(tuned_rows)
-        frozen_img = np.stack(frozen_rows)
-        text_idx = np.asarray([item.label for item in data.items])
+        class_embs = model.class_matrix(templates).data
+        frozen_cls = model.backbone.encode_text(templates).data
+        tuned_img = model.image_embedding(images).data
+        frozen_img = model.backbone.encode_image(images).data
         cc = float(consistency_loss(cons,
-                                    frozen_cls[text_idx], class_embs[text_idx],
+                                    frozen_cls[labels], class_embs[labels],
                                     frozen_img, tuned_img).item())
+    z = (tuned_img @ class_embs.T) / model.tau
+    z = z - z.max(axis=1, keepdims=True)
+    ce = np.log(np.exp(z).sum(axis=1)) - z[np.arange(len(labels)), labels]
     return {
-        "final_train_ce": ce_sum / len(data.items),
+        "final_train_ce": float(ce.mean()),
         "final_train_cc": cc,
         "text_deviation": float(np.mean(np.linalg.norm(class_embs - frozen_cls, axis=1))),
         "image_deviation": float(np.mean(np.linalg.norm(tuned_img - frozen_img, axis=1))),

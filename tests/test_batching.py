@@ -1,0 +1,131 @@
+"""One embedding path: a batch gives, row for row, what one-example calls give.
+
+Every caller (pretrain, train step, train-state measurement, evaluation)
+sends whole batches to the encoders, and one-example calls run the same
+code as a batch of one. These tests pin the two forms together at 1e-12,
+for embeddings and for the gradients of the tuning parameters.
+"""
+
+import numpy as np
+import pytest
+
+import coprompt.autodiff as ad
+from coprompt.autodiff import ShapeError, Tensor
+from coprompt.encoders import DualEncoder, EncoderConfig, Tokenizer
+from coprompt.training import TunedModel
+from coprompt.tuning import PromptSet, make_adapters, trainable_parameters
+
+TOL = 1e-12
+WORDS = ["red", "dots", "stripes", "photo", "of", "zebra", "in", "tones"]
+# mixed lengths, with a repeated sentence, in no length order
+SENTENCES = ["red dots", "a photo of a zebra in red tones", "stripes", "red dots",
+             "photo of stripes", "zebra"]
+
+
+def _model(prompts, adapters):
+    tok = Tokenizer(WORDS)
+    cfg = EncoderConfig(layers=2, width=16, heads=2, text_len=12, image_size=16,
+                        patch_grid=4, embed_dim=8)
+    enc = DualEncoder(cfg, tok, seed=4, frozen=True)
+    rng = np.random.default_rng(6)
+    ps = PromptSet(cfg.width, cfg.layers, m=2 if prompts else 0, rng=rng)
+    adapters = make_adapters(cfg.embed_dim, "both" if adapters else "none", rng=rng)
+    # move the adapters off their identity start so they shape the output
+    for _, t in trainable_parameters(ps, adapters):
+        t.data = t.data + rng.normal(0.0, 0.1, t.shape)
+    return TunedModel(enc, ps, adapters)
+
+
+def _inputs(model, n_images=5):
+    rng = np.random.default_rng(8)
+    images = rng.uniform(0.0, 1.0, (n_images, 16, 16, 3))
+    tokens = [tuple(model.tokenizer.encode(s)) for s in SENTENCES]
+    return images, tokens
+
+
+COMBOS = [(p, a) for p in (False, True) for a in (False, True)]
+
+
+@pytest.mark.parametrize("prompts,adapters", COMBOS)
+def test_batched_embeddings_match_per_example(prompts, adapters):
+    model = _model(prompts, adapters)
+    images, tokens = _inputs(model)
+    with ad.no_grad():
+        img = model.image_embedding(images).data
+        txt = model.text_embedding(tokens).data
+        img_rows = np.stack([model.image_embedding(x).data for x in images])
+        txt_rows = np.stack([model.text_embedding(list(t)).data for t in tokens])
+    assert img.shape == (len(images), 8) and txt.shape == (len(tokens), 8)
+    assert np.abs(img - img_rows).max() <= TOL
+    assert np.abs(txt - txt_rows).max() <= TOL
+
+
+@pytest.mark.parametrize("prompts,adapters", COMBOS)
+def test_batch_of_one_is_the_single_call(prompts, adapters):
+    model = _model(prompts, adapters)
+    images, tokens = _inputs(model, n_images=1)
+    with ad.no_grad():
+        img = model.image_embedding(images).data
+        single_img = model.image_embedding(images[0]).data
+        txt = model.text_embedding(tokens[1:2]).data
+        single_txt = model.text_embedding(tokens[1]).data
+    assert img.shape == (1, 8) and single_img.shape == (8,)
+    assert txt.shape == (1, 8) and single_txt.shape == (8,)
+    assert np.abs(img[0] - single_img).max() <= TOL
+    assert np.abs(txt[0] - single_txt).max() <= TOL
+
+
+def test_text_batch_accepts_lists_and_arrays_alike():
+    enc = _model(False, False).backbone
+    _, tokens = _inputs(_model(False, False))
+    with ad.no_grad():
+        as_tuples = enc.encode_text(tokens).data
+        as_lists = enc.encode_text([list(t) for t in tokens]).data
+        same_len = [t for t in tokens if len(t) == 4]
+        as_array = enc.encode_text(np.asarray(same_len)).data
+    assert np.array_equal(as_tuples, as_lists)
+    assert np.array_equal(as_array, as_tuples[[len(t) == 4 for t in tokens]])
+
+
+@pytest.mark.parametrize("prompts,adapters", COMBOS)
+def test_batched_loss_gradients_match_per_example(prompts, adapters):
+    model = _model(prompts, adapters)
+    images, tokens = _inputs(model)
+    params = [t for _, t in trainable_parameters(model.prompt_set, model.adapters)]
+    rng = np.random.default_rng(9)
+    r_img = rng.normal(size=(len(images), 8))
+    r_txt = rng.normal(size=(len(tokens), 8))
+
+    def grads(loss):
+        for p in params:
+            p.zero_grad()
+        ad.backward(loss)
+        return [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+
+    batched = grads((model.image_embedding(images) * Tensor(r_img)).sum()
+                    + (model.text_embedding(tokens) * Tensor(r_txt)).sum())
+    loss = None
+    for i, x in enumerate(images):
+        term = (model.image_embedding(x) * Tensor(r_img[i])).sum()
+        loss = term if loss is None else loss + term
+    for i, t in enumerate(tokens):
+        loss = loss + (model.text_embedding(list(t)) * Tensor(r_txt[i])).sum()
+    per_example = grads(loss)
+
+    reached = [gb for gb in batched if gb.size and np.abs(gb).max() > 0]
+    assert len(reached) == (6 * prompts) + (8 * adapters)  # 3 tensors/layer, 4/adapter
+    for gb, gp in zip(batched, per_example):
+        assert gb.shape == gp.shape
+        assert gb.size == 0 or np.abs(gb - gp).max() <= TOL
+
+
+def test_empty_batches_and_bad_shapes_raise():
+    enc = _model(True, False).backbone
+    with pytest.raises(ShapeError, match="empty"):
+        enc.encode_text([])
+    with pytest.raises(ShapeError, match="empty"):
+        enc.encode_text([(1, 2), ()])
+    with pytest.raises(ShapeError, match="empty"):
+        enc.encode_image(np.zeros((0, 16, 16, 3)))
+    with pytest.raises(ShapeError, match="image shape"):
+        enc.encode_image(np.zeros((2, 8, 16, 16, 3)))

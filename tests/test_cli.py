@@ -110,6 +110,7 @@ def test_finetune_then_eval_flow(rig, tmp_path):
     assert main(["finetune", "--config", cfg]) == 0
     assert (ft_dir / "history.csv").exists()
     assert (ft_dir / "metrics.json").exists()
+    assert read_json(ft_dir / "resolved_config.json")["max_steps"] is None
 
     ev = _write(tmp_path / "e.json", {
         "checkpoint": str(ft_dir), "protocol": "base_to_novel",
@@ -118,6 +119,17 @@ def test_finetune_then_eval_flow(rig, tmp_path):
     report = read_json(tmp_path / "ev" / "report.json")
     assert 0 <= report["base_acc"] <= 100
     assert (tmp_path / "ev" / "base_to_novel.txt").exists()
+
+
+def test_finetune_records_max_steps(rig, tmp_path):
+    root, suite_dir, bb_dir = rig
+    ft_dir = tmp_path / "ft"
+    cfg = _write(tmp_path / "f.json", {
+        "backbone": str(bb_dir), "dataset": str(suite_dir / "fields_a"),
+        "out": str(ft_dir), "train": TINY_TRAIN})
+    assert main(["finetune", "--config", cfg, "--override", "max_steps=3"]) == 0
+    assert read_json(ft_dir / "resolved_config.json")["max_steps"] == 3
+    assert read_json(ft_dir / "metrics.json")["steps"] == 3
 
 
 def test_eval_rederives_final_train_ce(rig, tmp_path):

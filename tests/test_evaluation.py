@@ -42,7 +42,8 @@ class StubModel:
         self.tokenizer = StubTokenizer([f"class{i}" for i in range(len(class_vecs))])
 
     def text_embedding(self, tokens):
-        return Tensor(self.class_vecs[tokens[0]])
+        # evaluation embeds the class sentences as one batch
+        return Tensor(self.class_vecs[[t[0] for t in tokens]])
 
     def image_embedding(self, image):
         return Tensor(self.img_vec)
@@ -171,14 +172,16 @@ def test_information_free_model_scores_chance(suite):
             self.tokenizer = Tokenizer.from_manifests([suite["fields_a"].manifest])
 
         def text_embedding(self, tokens):
-            rng = np.random.default_rng(hash(tuple(tokens)) % (2 ** 31))
-            return Tensor(rng.normal(size=8))
+            return Tensor(np.stack([
+                np.random.default_rng(hash(tuple(t)) % (2 ** 31)).normal(size=8)
+                for t in tokens]))
 
-        def image_embedding(self, image):
+        def image_embedding(self, images):
             # keyed on the image bytes: uniform over classes, input-blind order
-            rng = np.random.default_rng(
-                int.from_bytes(np.asarray(image).tobytes()[:8], "little"))
-            return Tensor(rng.normal(size=8))
+            return Tensor(np.stack([
+                np.random.default_rng(
+                    int.from_bytes(np.asarray(image).tobytes()[:8], "little")).normal(size=8)
+                for image in images]))
 
     rep = base_to_novel_eval(Null(12), suite["fields_a"])
     chance_base, band_base, chance_novel, band_novel = _chance_bands(suite["fields_a"])

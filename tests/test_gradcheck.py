@@ -52,6 +52,12 @@ def test_grad_reductions_and_shapes(rng):
     assert_grads_match(lambda ts: ts[0].mean(), [a])
     assert_grads_match(
         lambda ts: (ad.transpose(ad.reshape(ts[0], (5, 3)), (1, 0)) * Tensor(a)).sum(), [a])
+    # mean over a tuple of axes, and a broadcast over a new batch axis
+    a3 = rng.normal(size=(2, 3, 4))
+    r3 = rng.normal(size=3)
+    assert_grads_match(lambda ts: (ad.mean(ts[0], axis=(0, 2)) * Tensor(r3)).sum(), [a3])
+    rb = rng.normal(size=(2, 3, 5))
+    assert_grads_match(lambda ts: (ad.broadcast_to(ts[0], (2, 3, 5)) * Tensor(rb)).sum(), [a])
 
 
 @pytest.mark.parametrize("rng", _rngs())
@@ -62,6 +68,11 @@ def test_grad_concat_slice(rng):
     assert_grads_match(lambda ts: (ad.concat(ts, axis=0) * Tensor(r)).sum(), [a, b])
     r2 = rng.normal(size=(2, 2))
     assert_grads_match(lambda ts: (ad.slice_(ts[0], (slice(1, 3), slice(0, 2))) * Tensor(r2)).sum(),
+                       [rng.normal(size=(4, 5))])
+    # a gather that repeats rows must add each copy's gradient
+    rows = np.array([0, 0, 2, 1, 0])
+    r5 = rng.normal(size=(5, 5))
+    assert_grads_match(lambda ts: (ad.slice_(ts[0], rows) * Tensor(r5)).sum(),
                        [rng.normal(size=(4, 5))])
 
 
