@@ -11,11 +11,9 @@ from .autodiff import (
     backward,
     cosine_similarity,
     cross_entropy_from_logits,
-    forward_op,
     l2_normalize,
     layernorm,
     no_grad,
-    sgd_step,
     softmax,
 )
 from .checkpoints import CheckpointError
@@ -70,7 +68,6 @@ from .tuning import (
     Adapter,
     PromptSet,
     apply_adapter,
-    build_prompted_inputs,
     make_adapters,
     trainable_parameters,
 )

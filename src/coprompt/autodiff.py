@@ -582,51 +582,8 @@ def cross_entropy_from_logits(logits, labels):
     return _from_op(np.asarray(data), (logits,), bw)
 
 
-_OPS = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "concat": concat,
-    "slice": slice_,
-    "mean": mean,
-    "layernorm": layernorm,
-    "gelu": gelu,
-    "relu": relu,
-    "softmax": softmax,
-    "log": log,
-    "exp": exp,
-    "l2_normalize": l2_normalize,
-    "cosine_similarity": cosine_similarity,
-    "cross_entropy_from_logits": cross_entropy_from_logits,
-}
-
-
-def forward_op(kind, *inputs, **kwargs):
-    """Dispatch an op by name; unknown kinds raise ValueError."""
-    try:
-        fn = _OPS[kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind: {kind!r}") from None
-    return fn(*inputs, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # optimizer
-
-
-def sgd_step(params, velocities, lr, momentum):
-    """One SGD update: v <- momentum*v + grad; p <- p - lr*v; grads cleared."""
-    if lr <= 0.0:
-        raise ValueError(f"sgd_step: lr must be positive, got {lr}")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError(f"sgd_step: momentum must be in [0, 1), got {momentum}")
-    for p, v in zip(params, velocities):
-        if p.grad is None:
-            raise GradError("sgd_step: parameter has no gradient")
-        v *= momentum
-        v += p.grad
-        p.data -= lr * v
-        p.grad = None
 
 
 class SGD:
@@ -634,17 +591,29 @@ class SGD:
     so training state can be checkpointed and restored exactly."""
 
     def __init__(self, params, lr, momentum=0.0):
-        if lr <= 0.0:
-            raise ValueError(f"SGD: lr must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"SGD: momentum must be in [0, 1), got {momentum}")
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
+        self._check_hyperparams()
         self.velocities = [np.zeros_like(p.data) for p in self.params]
 
+    def _check_hyperparams(self):
+        if self.lr <= 0.0:
+            raise ValueError(f"SGD: lr must be positive, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"SGD: momentum must be in [0, 1), got {self.momentum}")
+
     def step(self):
-        sgd_step(self.params, self.velocities, self.lr, self.momentum)
+        """One update: v <- momentum*v + grad; p <- p - lr*v; grads cleared.
+        The hyperparameters are checked again: callers schedule `lr`."""
+        self._check_hyperparams()
+        for p, v in zip(self.params, self.velocities):
+            if p.grad is None:
+                raise GradError("SGD: parameter has no gradient")
+            v *= self.momentum
+            v += p.grad
+            p.data -= self.lr * v
+            p.grad = None
 
     def zero_grad(self):
         for p in self.params:

@@ -1,9 +1,14 @@
-"""Tensor files, content hashing, and checkpoint directory helpers.
+"""Tensor files, content hashing, and the one checkpoint writer/reader.
 
 A tensor is stored as a raw little-endian payload plus a JSON sidecar with
 its name, shape, and dtype. Checkpoints narrow to float32 on save (the
 narrowing is deliberate and lossy); mid-run training state uses float64 so
 a restored run continues bit-for-bit.
+
+A checkpoint is a directory of tensor files plus a JSON manifest: the
+caller's metadata (with its `kind`), each tensor's shape and sha256, and a
+content hash over the metadata and the tensor hashes. `read_checkpoint`
+verifies all of it before handing anything back.
 """
 
 from __future__ import annotations
@@ -54,8 +59,13 @@ def read_tensor(directory, name, expected_sha=None):
         payload = f.read()
     if expected_sha is not None and sha256_hex(payload) != expected_sha:
         raise CheckpointError(f"hash mismatch for tensor {name!r} in {directory}")
-    shape = tuple(sidecar["shape"])
-    arr = np.frombuffer(payload, dtype=_DTYPES[sidecar["dtype"]]).astype(np.float64)
+    try:
+        shape = tuple(sidecar["shape"])
+        dtype = _DTYPES[sidecar["dtype"]]
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"bad sidecar for tensor {name!r} in {directory}: "
+                              f"missing key or unknown dtype {e}") from None
+    arr = np.frombuffer(payload, dtype=dtype).astype(np.float64)
     if arr.size != int(np.prod(shape, dtype=np.int64)):
         raise CheckpointError(f"payload size does not match shape {shape} for {name!r}")
     return arr.reshape(shape)
@@ -77,3 +87,55 @@ def read_json(path):
         raise CheckpointError(f"missing file: {path}")
     with open(path) as f:
         return json.load(f)
+
+
+def write_checkpoint(directory, meta, tensors, manifest="manifest.json", subdir="",
+                     dtype="f32"):
+    """Write `(name, array)` tensors under `directory/subdir` and the manifest
+    `meta` + per-tensor shape and sha256 + content hash; returns the hash."""
+    tensor_dir = os.path.join(directory, subdir)
+    os.makedirs(tensor_dir, exist_ok=True)
+    entries = {}
+    for name, array in tensors:
+        sha = write_tensor(tensor_dir, name, array, dtype=dtype)
+        entries[name] = {"shape": list(np.shape(array)), "sha256": sha}
+    chash = content_hash(meta, {k: v["sha256"] for k, v in entries.items()})
+    write_json(os.path.join(directory, manifest), dict(meta, tensors=entries, content_hash=chash))
+    return chash
+
+
+def read_checkpoint(directory, kind, names_of, manifest="manifest.json", subdir=""):
+    """Read back a `write_checkpoint` directory as (manifest, {name: float64 array}).
+
+    `names_of(manifest)` returns the tensor names the caller expects; it is
+    called only once the manifest is verified, so a caller may build what it
+    loads into from the manifest there. Refuses (CheckpointError), in this
+    order: a manifest of another `kind`; a content hash that does not match
+    every other manifest key plus the tensor hashes; a tensor name missing
+    from, or not in, the expected names; a tensor whose payload hash or
+    shape differs from its manifest entry.
+    """
+    m = read_json(os.path.join(directory, manifest))
+    if m.get("kind") != kind:
+        raise CheckpointError(f"{directory} is not a {kind} checkpoint")
+    entries = m.get("tensors", {})
+    try:
+        hashes = {k: v["sha256"] for k, v in entries.items()}
+        shapes = {k: list(v["shape"]) for k, v in entries.items()}
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"malformed tensor entry in {directory}: {e}") from None
+    meta = {k: v for k, v in m.items() if k not in ("tensors", "content_hash")}
+    if content_hash(meta, hashes) != m.get("content_hash"):
+        raise CheckpointError(f"content hash mismatch in {directory}")
+    names = list(names_of(m))
+    missing, unexpected = set(names) - set(entries), set(entries) - set(names)
+    if missing or unexpected:
+        raise CheckpointError(f"tensor names in {directory} do not match: missing "
+                              f"{sorted(missing)}, unexpected {sorted(unexpected)}")
+    arrays = {}
+    for name in names:
+        arr = read_tensor(os.path.join(directory, subdir), name, expected_sha=hashes[name])
+        if list(arr.shape) != shapes[name]:
+            raise CheckpointError(f"shape mismatch for tensor {name!r} in {directory}")
+        arrays[name] = arr
+    return m, arrays

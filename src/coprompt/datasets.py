@@ -226,14 +226,24 @@ def _write_records(path, records, image_size, channels):
 
 
 def _read_records(path, image_size, channels):
+    """Every record of `images.bin`; a file whose length is not exactly the
+    header plus `count` records (short or with trailing bytes) is refused."""
     pixel_count = image_size * image_size * channels
+    record_size = 12 + 4 * pixel_count
     records = []
     with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
+        header = f.read(12)
+        if header[:4] != MAGIC:
             raise DatasetError(f"bad magic in {path}")
-        version, count = struct.unpack("<II", f.read(8))
+        if len(header) < 12:
+            raise DatasetError(f"truncated header in {path}")
+        version, count = struct.unpack_from("<II", header, 4)
         if version != FORMAT_VERSION:
             raise DatasetError(f"unsupported dataset format version {version}")
+        size = os.fstat(f.fileno()).st_size
+        if size != 12 + count * record_size:
+            raise DatasetError(f"{path} is {size} bytes, but {count} records "
+                               f"take {12 + count * record_size}")
         for _ in range(count):
             class_id, sample_seed = struct.unpack("<IQ", f.read(12))
             pixels = np.frombuffer(f.read(4 * pixel_count), dtype="<f4")

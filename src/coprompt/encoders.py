@@ -21,14 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ShapeError
-from .checkpoints import (
-    CheckpointError,
-    content_hash,
-    read_json,
-    read_tensor,
-    write_json,
-    write_tensor,
-)
+from .checkpoints import read_checkpoint, read_json, write_checkpoint
 from .datasets import TEMPLATE_PROMPT
 
 PAD_ID, SOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
@@ -512,11 +505,6 @@ BACKBONE_MANIFEST = "manifest.json"
 
 def save_backbone(directory, enc: DualEncoder, extra=None):
     """Write config + vocab + per-weight f32 tensor files; returns content hash."""
-    os.makedirs(directory, exist_ok=True)
-    tensor_meta = {}
-    for name, t in enc.param_items():
-        sha = write_tensor(directory, name, t.data, dtype="f32")
-        tensor_meta[name] = {"shape": list(t.data.shape), "sha256": sha}
     # displayed tau comes from the narrowed (f32) log_tau so that
     # save -> load -> save is a fixed point
     tau_meta = float(np.exp(enc.weights["log_tau"].data.astype("<f4").astype(np.float64)))
@@ -529,36 +517,25 @@ def save_backbone(directory, enc: DualEncoder, extra=None):
     }
     if extra:
         meta["extra"] = extra
-    chash = content_hash(meta, {k: v["sha256"] for k, v in tensor_meta.items()})
-    manifest = dict(meta, tensors=tensor_meta, content_hash=chash)
-    write_json(os.path.join(directory, BACKBONE_MANIFEST), manifest)
-    return chash
+    return write_checkpoint(directory, meta, [(n, t.data) for n, t in enc.param_items()],
+                            manifest=BACKBONE_MANIFEST)
 
 
 def load_backbone(directory) -> DualEncoder:
-    """Load a frozen backbone, verifying every tensor hash and shape."""
-    manifest = read_json(os.path.join(directory, BACKBONE_MANIFEST))
-    if manifest.get("kind") != "backbone":
-        raise CheckpointError(f"{directory} is not a backbone checkpoint")
-    config = EncoderConfig.from_dict(manifest["config"])
-    tokenizer = Tokenizer.from_dict(manifest["vocab"])
-    enc = DualEncoder(config, tokenizer, frozen=True)
-    for name, info in manifest["tensors"].items():
-        arr = read_tensor(directory, name, expected_sha=info["sha256"])
-        if tuple(arr.shape) != tuple(info["shape"]):
-            raise CheckpointError(f"shape mismatch for {name!r} in {directory}")
-        if name not in enc.weights:
-            raise CheckpointError(f"unexpected tensor {name!r} in {directory}")
-        enc.weights[name] = Tensor(arr)
-    missing = set(enc.weights) - set(manifest["tensors"])
-    if missing:
-        raise CheckpointError(f"missing tensors in {directory}: {sorted(missing)}")
-    meta = {k: manifest[k] for k in ("kind", "format_version", "config", "vocab", "tau")}
-    if "extra" in manifest:
-        meta["extra"] = manifest["extra"]
-    expect = content_hash(meta, {k: v["sha256"] for k, v in manifest["tensors"].items()})
-    if expect != manifest["content_hash"]:
-        raise CheckpointError(f"content hash mismatch in {directory}")
+    """Load a frozen backbone through the verifying `read_checkpoint`."""
+    enc = None
+
+    def weight_names(manifest):
+        nonlocal enc
+        enc = DualEncoder(EncoderConfig.from_dict(manifest["config"]),
+                          Tokenizer.from_dict(manifest["vocab"]), frozen=True)
+        names = list(enc.weights)
+        enc.weights.clear()  # drop the random init before the saved weights load
+        return names
+
+    _, arrays = read_checkpoint(directory, "backbone", weight_names, manifest=BACKBONE_MANIFEST)
+    for name in list(arrays):  # pop as we copy: one copy of the weights at a time
+        enc.weights[name] = Tensor(arrays.pop(name))
     return enc
 
 

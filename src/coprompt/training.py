@@ -26,11 +26,10 @@ from . import autodiff as ad
 from .autodiff import SGD, Tensor
 from .checkpoints import (
     CheckpointError,
-    content_hash,
-    read_json,
-    read_tensor,
+    canonical_json,
+    read_checkpoint,
+    write_checkpoint,
     write_json,
-    write_tensor,
 )
 from .consistency import (
     Augmenter,
@@ -163,6 +162,7 @@ class TunedModel:
         self.backbone = backbone
         self.prompt_set = prompt_set
         self.adapters = adapters
+        self.params = trainable_parameters(prompt_set, adapters)
 
     @property
     def tau(self):
@@ -175,8 +175,7 @@ class TunedModel:
     def text_embedding(self, tokens):
         """One token sequence -> (E,), or a batch of them -> (B, E); see
         `DualEncoder.encode_text`."""
-        text_sched, _ = self.prompt_set.schedules()
-        e = self.backbone.encode_text(tokens, prompts=text_sched)
+        e = self.backbone.encode_text(tokens, prompts=self.prompt_set.text_schedule())
         return apply_adapter(self.adapters.get("text"), e)
 
     def image_embedding(self, images):
@@ -210,6 +209,19 @@ def _seed_streams(seed):
             np.random.default_rng(perturb_ss))
 
 
+def tuned_model(backbone: DualEncoder, cfg: TrainConfig) -> TunedModel:
+    """Fresh prompts and adapters shaped by `cfg`, drawn from the seed's init
+    stream: the trainer's starting point and the layout a checkpoint loads into."""
+    init_rng, _, _ = _seed_streams(cfg.seed)
+    layers = backbone.config.layers
+    depth = layers if cfg.prompt_depth is None else cfg.prompt_depth
+    prompt_set = PromptSet(backbone.config.width, layers, m=cfg.prompt_m, depth=depth,
+                           rng=init_rng)
+    adapters = make_adapters(backbone.config.embed_dim, cfg.adapter_modality,
+                             cfg.adapter_layers, cfg.adapter_residual, rng=init_rng)
+    return TunedModel(backbone, prompt_set, adapters)
+
+
 class Trainer:
     """One fine-tuning run; strictly sequential and fully deterministic."""
 
@@ -225,16 +237,11 @@ class Trainer:
         self.store = DescriptionStore.from_manifest(
             data.dataset.manifest, backbone.tokenizer, backbone.config.text_len)
 
-        init_rng, self.batch_rng, self.perturb_rng = _seed_streams(cfg.seed)
-        layers = backbone.config.layers
-        depth = layers if cfg.prompt_depth is None else cfg.prompt_depth
-        self.prompt_set = PromptSet(backbone.config.width, layers,
-                                    m=cfg.prompt_m, depth=depth, rng=init_rng)
-        self.adapters = make_adapters(backbone.config.embed_dim, cfg.adapter_modality,
-                                      cfg.adapter_layers, cfg.adapter_residual, rng=init_rng)
-        self.params = trainable_parameters(self.prompt_set, self.adapters)
+        _, self.batch_rng, self.perturb_rng = _seed_streams(cfg.seed)
+        self.model = tuned_model(backbone, cfg)
+        self.adapters = self.model.adapters
+        self.params = self.model.params
         self.opt = SGD([t for _, t in self.params], lr=cfg.lr, momentum=cfg.momentum)
-        self.model = TunedModel(backbone, self.prompt_set, self.adapters)
         self.augmenter = Augmenter(cfg.consistency.perturb_image)
 
         names = data.base_class_names
@@ -357,12 +364,10 @@ class Trainer:
     # -- full-precision state (mid-run resume) ---------------------------------
 
     def save_state(self, directory):
-        os.makedirs(directory, exist_ok=True)
-        for name, t in self.params:
-            write_tensor(directory, "param." + name, t.data, dtype="f64")
-        for (name, _), v in zip(self.params, self.opt.velocities):
-            write_tensor(directory, "vel." + name, v, dtype="f64")
-        write_json(os.path.join(directory, "state.json"), {
+        tensors = [("param." + name, t.data) for name, t in self.params]
+        tensors += [("vel." + name, v) for (name, _), v in zip(self.params, self.opt.velocities)]
+        write_checkpoint(directory, {
+            "kind": "train_state",
             "step": self.step,
             "pos": self.pos,
             "perm": None if self.perm is None else [int(i) for i in self.perm],
@@ -370,16 +375,21 @@ class Trainer:
             "perturb_rng": self.perturb_rng.bit_generator.state,
             "history": self.history,
             "config": self.cfg.to_dict(),
-        })
+        }, tensors, manifest=STATE_MANIFEST, dtype="f64")
 
     @staticmethod
     def restore(backbone, cfg, data, directory):
+        """A trainer at the saved step; refuses a state saved under another config."""
         trainer = Trainer(backbone, cfg, data)
-        state = read_json(os.path.join(directory, "state.json"))
-        for name, t in trainer.params:
-            t.data = read_tensor(directory, "param." + name)
-        for i, (name, _) in enumerate(trainer.params):
-            trainer.opt.velocities[i] = read_tensor(directory, "vel." + name)
+        names = [p + name for p in ("param.", "vel.") for name, _ in trainer.params]
+        state, arrays = read_checkpoint(directory, "train_state", lambda _: names,
+                                        manifest=STATE_MANIFEST)
+        if canonical_json(state["config"]) != canonical_json(cfg.to_dict()):
+            raise CheckpointError(f"train state in {directory} was saved under another "
+                                  "config than the one given")
+        for i, (name, t) in enumerate(trainer.params):
+            t.data = arrays["param." + name]
+            trainer.opt.velocities[i] = arrays["vel." + name]
         trainer.step = int(state["step"])
         trainer.pos = int(state["pos"])
         trainer.perm = None if state["perm"] is None else np.asarray(state["perm"])
@@ -424,6 +434,7 @@ def measure_train_state(model: TunedModel, data: FewShotSplit,
 
 FINETUNE_MANIFEST = "config.json"
 TUNED_DIR = "tuned"
+STATE_MANIFEST = "state.json"
 
 
 @dataclass
@@ -456,11 +467,6 @@ def read_history_csv(path):
 
 def save_finetune_checkpoint(directory, trainer: Trainer, metrics,
                              backbone_ref=None, dataset_hash=None):
-    os.makedirs(os.path.join(directory, TUNED_DIR), exist_ok=True)
-    tensor_meta = {}
-    for name, t in trainer.params:
-        sha = write_tensor(os.path.join(directory, TUNED_DIR), name, t.data, dtype="f32")
-        tensor_meta[name] = {"shape": list(t.data.shape), "sha256": sha}
     meta = {
         "kind": "finetune",
         "format_version": 1,
@@ -472,9 +478,8 @@ def save_finetune_checkpoint(directory, trainer: Trainer, metrics,
         "base_class_ids": list(trainer.data.base_class_ids),
         "shots_seed": trainer.data.seed,
     }
-    chash = content_hash(meta, {k: v["sha256"] for k, v in tensor_meta.items()})
-    write_json(os.path.join(directory, FINETUNE_MANIFEST),
-               dict(meta, tensors=tensor_meta, content_hash=chash))
+    chash = write_checkpoint(directory, meta, [(n, t.data) for n, t in trainer.params],
+                             manifest=FINETUNE_MANIFEST, subdir=TUNED_DIR)
     write_json(os.path.join(directory, "metrics.json"), metrics)
     _write_history_csv(os.path.join(directory, "history.csv"), trainer.history)
     return chash
@@ -483,43 +488,30 @@ def save_finetune_checkpoint(directory, trainer: Trainer, metrics,
 def load_finetune_checkpoint(directory, backbone: DualEncoder | None = None,
                              backbone_dir=None):
     """Rebuild the tuned model; refuses to run on a hash-mismatched backbone."""
-    manifest = read_json(os.path.join(directory, FINETUNE_MANIFEST))
-    if manifest.get("kind") != "finetune":
-        raise CheckpointError(f"{directory} is not a finetune checkpoint")
-    if backbone is None:
-        backbone_dir = backbone_dir or manifest.get("backbone_path")
-        if backbone_dir is None:
-            raise CheckpointError("no backbone supplied and none recorded in checkpoint")
-        if manifest["backbone_hash"] is not None and backbone_hash(backbone_dir) != manifest["backbone_hash"]:
-            raise CheckpointError("backbone hash mismatch: checkpoint was trained "
-                                  "on a different backbone")
-        backbone = load_backbone(backbone_dir)
-    if backbone.weight_fingerprint() != manifest["backbone_fingerprint"]:
-        raise CheckpointError("backbone weights do not match the checkpoint's "
-                              "recorded fingerprint")
+    model = None
 
-    cfg = TrainConfig.from_dict(manifest["train"])
-    init_rng, _, _ = _seed_streams(cfg.seed)
-    layers = backbone.config.layers
-    depth = layers if cfg.prompt_depth is None else cfg.prompt_depth
-    prompt_set = PromptSet(backbone.config.width, layers, m=cfg.prompt_m,
-                           depth=depth, rng=init_rng)
-    adapters = make_adapters(backbone.config.embed_dim, cfg.adapter_modality,
-                             cfg.adapter_layers, cfg.adapter_residual, rng=init_rng)
-    model = TunedModel(backbone, prompt_set, adapters)
-    loaded = {}
-    for name, info in manifest["tensors"].items():
-        arr = read_tensor(os.path.join(directory, TUNED_DIR), name,
-                          expected_sha=info["sha256"])
-        if tuple(arr.shape) != tuple(info["shape"]):
-            raise CheckpointError(f"shape mismatch for tuned tensor {name!r}")
-        loaded[name] = arr
-    for name, t in trainable_parameters(prompt_set, adapters):
-        if name not in loaded:
-            raise CheckpointError(f"checkpoint missing tuned tensor {name!r}")
-        t.data = loaded[name]
+    def tuned_names(manifest):
+        nonlocal backbone, model
+        if backbone is None:
+            bb_dir = backbone_dir or manifest.get("backbone_path")
+            if bb_dir is None:
+                raise CheckpointError("no backbone supplied and none recorded in checkpoint")
+            if manifest["backbone_hash"] is not None and backbone_hash(bb_dir) != manifest["backbone_hash"]:
+                raise CheckpointError("backbone hash mismatch: checkpoint was trained "
+                                      "on a different backbone")
+            backbone = load_backbone(bb_dir)
+        if backbone.weight_fingerprint() != manifest["backbone_fingerprint"]:
+            raise CheckpointError("backbone weights do not match the checkpoint's "
+                                  "recorded fingerprint")
+        model = tuned_model(backbone, TrainConfig.from_dict(manifest["train"]))
+        return [name for name, _ in model.params]
+
+    manifest, arrays = read_checkpoint(directory, "finetune", tuned_names,
+                                       manifest=FINETUNE_MANIFEST, subdir=TUNED_DIR)
+    for name, t in model.params:
+        t.data = arrays[name]
         t.requires_grad = False
-    return model, cfg, manifest
+    return model, TrainConfig.from_dict(manifest["train"]), manifest
 
 
 def finetune(backbone: DualEncoder, cfg: TrainConfig, data: FewShotSplit,

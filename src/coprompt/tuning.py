@@ -51,11 +51,16 @@ class PromptSet:
         return [u @ w + b for u, w, b in
                 zip(self.text_prompts, self.coupler_w, self.coupler_b)]
 
+    def text_schedule(self):
+        """Per-layer text prompts for the text encoder; None when prompting is off."""
+        if self.m == 0 or self.depth == 0:
+            return None
+        return list(self.text_prompts)
+
     def schedules(self):
         """(text per-layer prompts, vision per-layer prompts) for the encoders."""
-        if self.m == 0 or self.depth == 0:
-            return None, None
-        return list(self.text_prompts), self.vision_prompts()
+        text = self.text_schedule()
+        return text, None if text is None else self.vision_prompts()
 
     def param_items(self):
         out = []
@@ -129,24 +134,6 @@ def apply_adapter(adapter, e):
     if adapter is None:
         return e
     return adapter.apply(e)
-
-
-def build_prompted_inputs(prompt_set, tokens, image, config):
-    """Validate lengths and return the per-layer prompt schedules.
-
-    The encoders consume the schedules directly: layer 0 concatenates, each
-    deeper prompted layer replaces its first m positions.
-    """
-    text_schedule, vision_schedule = prompt_set.schedules()
-    m = prompt_set.m if text_schedule else 0
-    if tokens is not None and len(tokens) + m > config.text_len:
-        raise ShapeError(
-            f"{len(tokens)} tokens plus {m} prompts exceed text_len {config.text_len}")
-    if image is not None:
-        expected = (config.image_size, config.image_size, config.channels)
-        if tuple(np.asarray(image).shape) != expected:
-            raise ShapeError(f"image shape {np.asarray(image).shape} != {expected}")
-    return text_schedule, vision_schedule
 
 
 def make_adapters(embed_dim, modality="both", n_layers=2, residual_renorm=True, rng=None):

@@ -1,4 +1,4 @@
-"""Op semantics, backward contracts, SGD, and the op dispatcher."""
+"""Op semantics, backward contracts, SGD, and tensor files."""
 
 import math
 
@@ -13,7 +13,6 @@ from coprompt.autodiff import (
     ShapeError,
     Tensor,
     backward,
-    forward_op,
 )
 
 
@@ -194,23 +193,14 @@ def test_sgd_validates_hyperparams():
         SGD([p], lr=0.1, momentum=1.0)
 
 
-# -- dispatcher ------------------------------------------------------------------
-
-
-def test_forward_op_dispatch():
-    out = forward_op("add", Tensor([1.0]), Tensor([2.0]))
-    assert out.data[0] == 3.0
-    out = forward_op("softmax", Tensor([0.0, 0.0]), axis=-1)
-    assert np.allclose(out.data, [0.5, 0.5])
-    with pytest.raises(ValueError, match="unknown op"):
-        forward_op("conv2d", Tensor([1.0]))
+# -- graph recording -------------------------------------------------------------
 
 
 def test_forward_op_records_when_needed():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    y = forward_op("mul", x, Tensor([3.0, 4.0]))
+    y = ad.mul(x, Tensor([3.0, 4.0]))
     assert y.requires_grad
-    z = forward_op("mul", Tensor([1.0]), Tensor([2.0]))
+    z = ad.mul(Tensor([1.0]), Tensor([2.0]))
     assert not z.requires_grad
 
 

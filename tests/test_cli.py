@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -168,22 +169,67 @@ def test_eval_zero_step_checkpoint_equals_backbone(rig, tmp_path):
     assert a["novel_acc"] == b["novel_acc"]
 
 
-def test_corrupted_checkpoint_refuses_to_run(rig, tmp_path, capsys):
-    root, suite_dir, bb_dir = rig
-    ft_dir = tmp_path / "ft"
-    cfg = _write(tmp_path / "f.json", {
-        "backbone": str(bb_dir), "dataset": str(suite_dir / "fields_a"),
-        "out": str(ft_dir), "train": TINY_TRAIN})
-    assert main(["finetune", "--config", cfg]) == 0
-    victim = next((ft_dir / "tuned").glob("*.bin"))
+def _flip_tensor_byte(ft, bb, ds):
+    victim = next((ft / "tuned").glob("*.bin"))
     data = bytearray(victim.read_bytes())
     data[0] ^= 0xFF
     victim.write_bytes(bytes(data))
+
+
+def _edit_json(path, edit):
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+
+
+def _edit_finetune_lambda(ft, bb, ds):
+    _edit_json(ft / "config.json", lambda m: m["train"].update({"lambda": 99.0}))
+
+
+def _add_backbone_manifest_key(ft, bb, ds):
+    _edit_json(bb / "manifest.json", lambda m: m.update({"retrieval_accuracy": 1.0}))
+
+
+def _unknown_sidecar_dtype(ft, bb, ds):
+    _edit_json(next((ft / "tuned").glob("*.json")), lambda s: s.update({"dtype": "f16"}))
+
+
+def _truncate_images(ft, bb, ds):
+    path = ds / "images.bin"
+    path.write_bytes(path.read_bytes()[:6])
+
+
+def _append_to_images(ft, bb, ds):
+    path = ds / "images.bin"
+    path.write_bytes(path.read_bytes() + bytes(7))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_flip_tensor_byte, "hash"),
+    (_edit_finetune_lambda, "hash"),
+    (_add_backbone_manifest_key, "hash"),
+    (_unknown_sidecar_dtype, "dtype"),
+    (_truncate_images, "truncated"),
+    (_append_to_images, "bytes"),
+], ids=["tensor_byte_flip", "finetune_config_edit", "backbone_manifest_edit",
+        "unknown_sidecar_dtype", "images_truncated", "images_trailing_bytes"])
+def test_corrupted_checkpoint_refuses_to_run(rig, tmp_path, capsys, corrupt, message):
+    root, suite_dir, bb_dir = rig
+    bb, ds, ft_dir = tmp_path / "bb", tmp_path / "ds", tmp_path / "ft"
+    shutil.copytree(bb_dir, bb)
+    shutil.copytree(suite_dir / "fields_a", ds)
+    cfg = _write(tmp_path / "f.json", {
+        "backbone": str(bb), "dataset": str(ds), "out": str(ft_dir), "train": TINY_TRAIN})
+    assert main(["finetune", "--config", cfg]) == 0
+    corrupt(ft_dir, bb, ds)
+    capsys.readouterr()
     ev = _write(tmp_path / "e.json", {
         "checkpoint": str(ft_dir), "protocol": "base_to_novel",
-        "dataset": str(suite_dir / "fields_a"), "out": str(tmp_path / "ev")})
+        "dataset": str(ds), "out": str(tmp_path / "ev")})
     assert main(["eval", "--config", ev]) == 2
-    assert "hash" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert message in err
     assert not (tmp_path / "ev" / "report.json").exists()
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import coprompt.autodiff as ad
 from coprompt.autodiff import Tensor, backward
+from coprompt.checkpoints import CheckpointError
 from coprompt.consistency import ConsistencyConfig
 from coprompt.datasets import build_family_manifest, generate_dataset, make_fewshot_split
 from coprompt.encoders import DualEncoder, EncoderConfig, Tokenizer
@@ -234,6 +235,15 @@ def test_state_restore_continues_identically(mini, tmp_path):
     assert [h["total"] for h in resumed.history] == [h["total"] for h in straight.history]
     for (_, t1), (_, t2) in zip(straight.params, resumed.params):
         assert np.array_equal(t1.data, t2.data)
+
+
+def test_state_restore_refuses_another_config(mini, tmp_path):
+    backbone, _, split = mini
+    first = Trainer(backbone, _cfg(epochs=6), split)
+    first.run(max_steps=3)
+    first.save_state(str(tmp_path / "state"))
+    with pytest.raises(CheckpointError, match="config"):
+        Trainer.restore(backbone, _cfg(epochs=6, lambda_=3.0), split, str(tmp_path / "state"))
 
 
 def test_max_steps_runs_past_epoch_budget(mini):

@@ -10,7 +10,6 @@ from coprompt.tuning import (
     Adapter,
     PromptSet,
     apply_adapter,
-    build_prompted_inputs,
     make_adapters,
     trainable_parameters,
 )
@@ -123,21 +122,7 @@ def test_depth_validation():
 def test_schedules_empty_for_m0():
     ps = PromptSet(width=8, layers=2, m=0, rng=np.random.default_rng(12))
     assert ps.schedules() == (None, None)
-
-
-def test_build_prompted_inputs_m0_passthrough():
-    cfg = EncoderConfig()
-    ps = PromptSet(width=cfg.width, layers=cfg.layers, m=0)
-    text_sched, vision_sched = build_prompted_inputs(
-        ps, [1, 5, 2], np.zeros((32, 32, 3)), cfg)
-    assert text_sched is None and vision_sched is None
-
-
-def test_build_prompted_inputs_overlength():
-    cfg = EncoderConfig()
-    ps = PromptSet(width=cfg.width, layers=cfg.layers, m=4)
-    with pytest.raises(ShapeError, match="text_len"):
-        build_prompted_inputs(ps, list(range(14)), None, cfg)
+    assert ps.text_schedule() is None
 
 
 def test_gradient_flows_into_text_prompts_through_coupler():
