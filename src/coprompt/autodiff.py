@@ -185,15 +185,25 @@ def _from_op(data, parents, backward):
 
 
 def _accumulate(t, g):
+    """Hand gradient `g` to `t`. The first one is kept by reference, later
+    ones are summed into a new array: gradient arrays may be shared between
+    tensors, so none is ever written in place. A stored gradient has the
+    memory layout of `t.data`, so a reduction over it sums in one fixed
+    order whichever op produced it."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if g.shape != t.data.shape:
+        raise GradError(f"backward: gradient of shape {g.shape} for a tensor of shape {t.shape}")
+    if t.grad is None and g.flags.c_contiguous and t.data.flags.c_contiguous:
+        t.grad = g
+    else:
+        t.grad = np.add(0.0 if t.grad is None else t.grad, g, out=np.empty_like(t.data))
 
 
 def _unbroadcast(g, shape):
     """Sum g down to `shape`, undoing numpy broadcasting."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, n in enumerate(shape):
@@ -228,7 +238,7 @@ def backward(loss):
     interior = [n for n in reachable if n._parents]
     interior.sort(key=lambda n: n._seq, reverse=True)
     for node in interior:
-        node.grad = np.zeros_like(node.data)
+        node.grad = None
 
     if loss._parents:
         loss.grad = np.ones_like(loss.data)
@@ -236,7 +246,7 @@ def backward(loss):
         _accumulate(loss, np.ones_like(loss.data))
 
     for node in interior:
-        if node._backward is not None and node.grad is not None:
+        if node.grad is not None:
             node._backward(node.grad)
 
 
@@ -244,17 +254,17 @@ def backward(loss):
 # primitive ops
 
 
-def _broadcast_data(op, a, b):
+def _broadcast_op(op, ufunc, x, y):
+    """ufunc(x, y) on arrays; a broadcast failure is a ShapeError naming `op`."""
     try:
-        return np.broadcast_shapes(a.data.shape, b.data.shape)
+        return ufunc(x, y)
     except ValueError:
-        raise ShapeError(f"{op}: cannot broadcast {a.data.shape} with {b.data.shape}") from None
+        raise ShapeError(f"{op}: cannot broadcast {x.shape} with {y.shape}") from None
 
 
 def add(a, b):
     a, b = _wrap(a), _wrap(b)
-    _broadcast_data("add", a, b)
-    data = a.data + b.data
+    data = _broadcast_op("add", np.add, a.data, b.data)
 
     def bw(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))
@@ -274,8 +284,7 @@ def neg(a):
 
 def mul(a, b):
     a, b = _wrap(a), _wrap(b)
-    _broadcast_data("mul", a, b)
-    data = a.data * b.data
+    data = _broadcast_op("mul", np.multiply, a.data, b.data)
 
     def bw(g):
         _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
@@ -286,8 +295,7 @@ def mul(a, b):
 
 def div(a, b):
     a, b = _wrap(a), _wrap(b)
-    _broadcast_data("div", a, b)
-    data = a.data / b.data
+    data = _broadcast_op("div", np.divide, a.data, b.data)
 
     def bw(g):
         _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
@@ -309,13 +317,24 @@ def power(a, p):
     return _from_op(data, (a,), bw)
 
 
-def matmul(a, b):
+def matmul(a, b, bias=None):
+    """a @ b, plus `bias` broadcast over the result when given, as one node."""
     a, b = _wrap(a), _wrap(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     data = np.matmul(a.data, b.data)
+    parents = (a, b)
+    if bias is not None:
+        bias = _wrap(bias)
+        try:
+            np.add(data, bias.data, out=data)
+        except ValueError:
+            raise ShapeError(f"matmul: cannot broadcast bias {bias.shape} to {data.shape}") from None
+        parents = (a, b, bias)
 
     def bw(g):
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
         if a.requires_grad:
             _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
         if not b.requires_grad:
@@ -326,7 +345,7 @@ def matmul(a, b):
         else:
             _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
-    return _from_op(data, (a, b), bw)
+    return _from_op(data, parents, bw)
 
 
 def sum_(a, axis=None, keepdims=False):
@@ -505,21 +524,38 @@ def softmax(a, axis=-1):
     return _from_op(data, (a,), bw)
 
 
-def layernorm(a, axis=-1, eps=LAYERNORM_EPSILON):
-    """Normalize to zero mean / unit variance along `axis` (no affine part)."""
+def layernorm(a, gamma=None, beta=None, axis=-1, eps=LAYERNORM_EPSILON):
+    """Normalize to zero mean / unit variance along `axis`, then scale by
+    `gamma` and shift by `beta` when given, as one node."""
     a = _wrap(a)
     mu = a.data.mean(axis=axis, keepdims=True)
     centered = a.data - mu
     var = (centered * centered).mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
+    data, parents = xhat, [a]
+    if gamma is not None:
+        gamma = _wrap(gamma)
+        data = _broadcast_op("layernorm", np.multiply, xhat, gamma.data)
+        parents.append(gamma)
+    if beta is not None:
+        beta = _wrap(beta)
+        data = _broadcast_op("layernorm", np.add, data, beta.data)
+        parents.append(beta)
 
     def bw(g):
-        gm = g.mean(axis=axis, keepdims=True)
-        gx = (g * xhat).mean(axis=axis, keepdims=True)
-        _accumulate(a, inv * (g - gm - xhat * gx))
+        if beta is not None and beta.requires_grad:
+            _accumulate(beta, _unbroadcast(g, beta.data.shape))
+        if gamma is not None:
+            if gamma.requires_grad:
+                _accumulate(gamma, _unbroadcast(g * xhat, gamma.data.shape))
+            g = _unbroadcast(g * gamma.data, xhat.shape)
+        if a.requires_grad:
+            gm = g.mean(axis=axis, keepdims=True)
+            gx = (g * xhat).mean(axis=axis, keepdims=True)
+            _accumulate(a, inv * (g - gm - xhat * gx))
 
-    return _from_op(xhat, (a,), bw)
+    return _from_op(data, tuple(parents), bw)
 
 
 def l2_normalize(a, axis=-1, eps=L2_EPSILON):

@@ -134,6 +134,49 @@ def patchify(images, grid):
     return patches.reshape(*lead, grid * grid, side * side * c)
 
 
+def weight_spec(config: EncoderConfig, vocab_size):
+    """Every encoder weight as (name, shape, init), in the one order used to
+    draw, store and hash them. `init` is ("normal", std), a zero-mean normal
+    draw, or ("fill", value)."""
+    w = config.width
+
+    def normal(name, shape, std):
+        return name, shape, ("normal", std)
+
+    def matrix(name, fan_in, fan_out):
+        return normal(name, (fan_in, fan_out), 1.0 / np.sqrt(fan_in))
+
+    def zeros(name, n=w):
+        return name, (n,), ("fill", 0.0)
+
+    def ones(name):
+        return name, (w,), ("fill", 1.0)
+
+    def branch(b):
+        out = []
+        for j in range(config.layers):
+            p = f"{b}.h{j}."
+            out += [ones(p + "ln1.g"), zeros(p + "ln1.b")]
+            for c in "qkvo":
+                out += [matrix(p + "attn.w" + c, w, w), zeros(p + "attn.b" + c)]
+            out += [ones(p + "ln2.g"), zeros(p + "ln2.b"),
+                    matrix(p + "mlp.w1", w, 4 * w), zeros(p + "mlp.b1", 4 * w),
+                    matrix(p + "mlp.w2", 4 * w, w), zeros(p + "mlp.b2")]
+        return out + [ones(f"{b}.lnf.g"), zeros(f"{b}.lnf.b"),
+                      matrix(f"{b}.proj.w", w, config.embed_dim),
+                      zeros(f"{b}.proj.b", config.embed_dim)]
+
+    # temperature is learned through its log so the contrastive loss
+    # cannot run away by inflating tau early in training
+    return ([("log_tau", (), ("fill", np.log(TAU_INIT))),
+             normal("text.tok_emb", (vocab_size, w), 0.02),
+             normal("text.pos_emb", (config.text_len, w), 0.01)]
+            + branch("text")
+            + [matrix("img.patch.w", config.patch_dim, w), zeros("img.patch.b"),
+               normal("img.pos_emb", (config.num_patches, w), 0.01)]
+            + branch("img"))
+
+
 class DualEncoder:
     """Paired text/image transformer with a learned temperature.
 
@@ -148,59 +191,18 @@ class DualEncoder:
         self.config = config
         self.tokenizer = tokenizer
         self.frozen = frozen
-        self.weights = {}
-        self._init_weights(seed)
-
-    def _init_weights(self, seed):
-        cfg = self.config
         rng = np.random.default_rng(np.random.SeedSequence([seed, 20317]))
-        trainable = not self.frozen
+        self.weights = {}
+        for name, shape, (kind, value) in weight_spec(config, tokenizer.size):
+            array = rng.normal(0.0, value, shape) if kind == "normal" else np.full(shape, value)
+            self.weights[name] = Tensor(array, requires_grad=not frozen)
 
-        def param(name, array):
-            self.weights[name] = Tensor(array, requires_grad=trainable)
-
-        def matrix(name, fan_in, fan_out):
-            param(name, rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, fan_out)))
-
-        # temperature is learned through its log so the contrastive loss
-        # cannot run away by inflating tau early in training
-        param("log_tau", np.log(TAU_INIT))
-        param("text.tok_emb", rng.normal(0.0, 0.02, (self.tokenizer.size, cfg.width)))
-        param("text.pos_emb", rng.normal(0.0, 0.01, (cfg.text_len, cfg.width)))
-        self._init_branch("text", rng)
-        matrix("img.patch.w", cfg.patch_dim, cfg.width)
-        param("img.patch.b", np.zeros(cfg.width))
-        param("img.pos_emb", rng.normal(0.0, 0.01, (cfg.num_patches, cfg.width)))
-        self._init_branch("img", rng)
-
-    def _init_branch(self, branch, rng):
-        cfg = self.config
-        trainable = not self.frozen
-
-        def param(name, array):
-            self.weights[name] = Tensor(array, requires_grad=trainable)
-
-        def matrix(name, fan_in, fan_out):
-            param(name, rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, fan_out)))
-
-        w = cfg.width
-        for j in range(cfg.layers):
-            p = f"{branch}.h{j}."
-            param(p + "ln1.g", np.ones(w))
-            param(p + "ln1.b", np.zeros(w))
-            for proj in ("wq", "wk", "wv", "wo"):
-                matrix(p + "attn." + proj, w, w)
-                param(p + "attn." + proj.replace("w", "b"), np.zeros(w))
-            param(p + "ln2.g", np.ones(w))
-            param(p + "ln2.b", np.zeros(w))
-            matrix(p + "mlp.w1", w, 4 * w)
-            param(p + "mlp.b1", np.zeros(4 * w))
-            matrix(p + "mlp.w2", 4 * w, w)
-            param(p + "mlp.b2", np.zeros(w))
-        param(f"{branch}.lnf.g", np.ones(w))
-        param(f"{branch}.lnf.b", np.zeros(w))
-        matrix(f"{branch}.proj.w", w, cfg.embed_dim)
-        param(f"{branch}.proj.b", np.zeros(cfg.embed_dim))
+    @classmethod
+    def _holding(cls, config, tokenizer, weights):
+        """A frozen encoder over a ready name->Tensor dict; draws nothing."""
+        enc = cls.__new__(cls)
+        enc.config, enc.tokenizer, enc.frozen, enc.weights = config, tokenizer, True, weights
+        return enc
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -213,12 +215,8 @@ class DualEncoder:
             t.requires_grad = not frozen
 
     def clone_frozen(self):
-        clone = DualEncoder.__new__(DualEncoder)
-        clone.config = self.config
-        clone.tokenizer = self.tokenizer
-        clone.frozen = True
-        clone.weights = {name: Tensor(t.data) for name, t in self.weights.items()}
-        return clone
+        return DualEncoder._holding(self.config, self.tokenizer,
+                                    {name: Tensor(t.data) for name, t in self.weights.items()})
 
     @property
     def tau(self):
@@ -237,20 +235,25 @@ class DualEncoder:
         b, s = h.shape[0], h.shape[1]
         heads, hd = cfg.heads, cfg.width // cfg.heads
         split = (b, s, heads, hd)
-        q = ad.transpose(ad.reshape(h @ w[p + "attn.wq"] + w[p + "attn.bq"], split), (0, 2, 1, 3))
-        k = ad.transpose(ad.reshape(h @ w[p + "attn.wk"] + w[p + "attn.bk"], split), (0, 2, 3, 1))
-        v = ad.transpose(ad.reshape(h @ w[p + "attn.wv"] + w[p + "attn.bv"], split), (0, 2, 1, 3))
+
+        def heads_of(c, axes):
+            y = ad.matmul(h, w[p + "attn.w" + c], bias=w[p + "attn.b" + c])
+            return ad.transpose(ad.reshape(y, split), axes)
+
+        q = heads_of("q", (0, 2, 1, 3))
+        k = heads_of("k", (0, 2, 3, 1))
+        v = heads_of("v", (0, 2, 1, 3))
         att = ad.softmax(ad.matmul(q, k) * (1.0 / np.sqrt(hd)), axis=-1)
         o = ad.reshape(ad.transpose(ad.matmul(att, v), (0, 2, 1, 3)), (b, s, cfg.width))
-        return o @ w[p + "attn.wo"] + w[p + "attn.bo"]
+        return ad.matmul(o, w[p + "attn.wo"], bias=w[p + "attn.bo"])
 
     def _block(self, branch, j, x):
         w = self.weights
         p = f"{branch}.h{j}."
-        x = x + self._attention(p, ad.layernorm(x) * w[p + "ln1.g"] + w[p + "ln1.b"])
-        h = ad.layernorm(x) * w[p + "ln2.g"] + w[p + "ln2.b"]
-        return x + (ad.gelu(h @ w[p + "mlp.w1"] + w[p + "mlp.b1"]) @ w[p + "mlp.w2"]
-                    + w[p + "mlp.b2"])
+        x = x + self._attention(p, ad.layernorm(x, w[p + "ln1.g"], w[p + "ln1.b"]))
+        h = ad.layernorm(x, w[p + "ln2.g"], w[p + "ln2.b"])
+        h = ad.gelu(ad.matmul(h, w[p + "mlp.w1"], bias=w[p + "mlp.b1"]))
+        return x + ad.matmul(h, w[p + "mlp.w2"], bias=w[p + "mlp.b2"])
 
     def _run_layers(self, branch, x, prompts):
         """Run the (B, S, width) batch through every block; returns (x, m).
@@ -273,7 +276,8 @@ class DualEncoder:
     def _project(self, branch, pooled):
         """(B, width) pooled features -> (B, embed_dim) unit-norm embeddings."""
         w = self.weights
-        return ad.l2_normalize(pooled @ w[f"{branch}.proj.w"] + w[f"{branch}.proj.b"])
+        return ad.l2_normalize(
+            ad.matmul(pooled, w[f"{branch}.proj.w"], bias=w[f"{branch}.proj.b"]))
 
     def encode_text(self, tokens, prompts=None):
         """Encode token id sequences into unit-norm joint embeddings.
@@ -314,7 +318,7 @@ class DualEncoder:
             order.extend(rows)
         # one concat and one gather put the length groups back in input order
         x = ad.slice_(ad.concat(pooled, axis=0), np.argsort(order))
-        x = ad.layernorm(x) * w["text.lnf.g"] + w["text.lnf.b"]
+        x = ad.layernorm(x, w["text.lnf.g"], w["text.lnf.b"])
         e = self._project("text", x)
         return ad.reshape(e, (cfg.embed_dim,)) if single else e
 
@@ -339,10 +343,10 @@ class DualEncoder:
             raise ShapeError("encode_image: empty batch")
         w = self.weights
         patches = Tensor(patchify(imgs, cfg.patch_grid))
-        x = patches @ w["img.patch.w"] + w["img.patch.b"] + w["img.pos_emb"]
+        x = ad.matmul(patches, w["img.patch.w"], bias=w["img.patch.b"]) + w["img.pos_emb"]
         x, m = self._run_layers("img", x, prompts)
         x = ad.slice_(x, (slice(None), slice(m, m + cfg.num_patches)))
-        x = ad.layernorm(x) * w["img.lnf.g"] + w["img.lnf.b"]
+        x = ad.layernorm(x, w["img.lnf.g"], w["img.lnf.b"])
         e = self._project("img", ad.mean(x, axis=1))
         return ad.reshape(e, (cfg.embed_dim,)) if single else e
 
@@ -400,7 +404,7 @@ def _clip_global_norm(params, max_norm):
         scale = max_norm / norm
         for p in params:
             if p.grad is not None:
-                p.grad *= scale
+                p.grad = p.grad * scale  # gradient arrays may be shared
 
 
 def retrieval_accuracy(enc, examples, class_templates):
@@ -522,21 +526,19 @@ def save_backbone(directory, enc: DualEncoder, extra=None):
 
 
 def load_backbone(directory) -> DualEncoder:
-    """Load a frozen backbone through the verifying `read_checkpoint`."""
-    enc = None
+    """Load a frozen backbone through the verifying `read_checkpoint`; the
+    weight names come from `weight_spec`, so nothing is drawn at random."""
 
     def weight_names(manifest):
-        nonlocal enc
-        enc = DualEncoder(EncoderConfig.from_dict(manifest["config"]),
-                          Tokenizer.from_dict(manifest["vocab"]), frozen=True)
-        names = list(enc.weights)
-        enc.weights.clear()  # drop the random init before the saved weights load
-        return names
+        config = EncoderConfig.from_dict(manifest["config"])
+        return [name for name, _, _ in weight_spec(config, len(manifest["vocab"]))]
 
-    _, arrays = read_checkpoint(directory, "backbone", weight_names, manifest=BACKBONE_MANIFEST)
-    for name in list(arrays):  # pop as we copy: one copy of the weights at a time
-        enc.weights[name] = Tensor(arrays.pop(name))
-    return enc
+    manifest, arrays = read_checkpoint(directory, "backbone", weight_names,
+                                       manifest=BACKBONE_MANIFEST)
+    # pop as we copy: one copy of the weights at a time
+    weights = {name: Tensor(arrays.pop(name)) for name in list(arrays)}
+    return DualEncoder._holding(EncoderConfig.from_dict(manifest["config"]),
+                                Tokenizer.from_dict(manifest["vocab"]), weights)
 
 
 def backbone_hash(directory) -> str:

@@ -48,7 +48,7 @@ class PromptSet:
 
     def vision_prompts(self):
         """Recompute v_j = coupler_j(u_j) from the current text prompts."""
-        return [u @ w + b for u, w, b in
+        return [ad.matmul(u, w, bias=b) for u, w, b in
                 zip(self.text_prompts, self.coupler_w, self.coupler_b)]
 
     def text_schedule(self):
@@ -111,7 +111,7 @@ class Adapter:
                 f"adapter expects embeddings of dim {self.embed_dim}, got {e.shape}")
         h = e if e.ndim == 2 else ad.reshape(e, (1, self.embed_dim))
         for i, (w, b) in enumerate(zip(self.ws, self.bs)):
-            h = h @ w + b
+            h = ad.matmul(h, w, bias=b)
             if i < len(self.ws) - 1:
                 h = ad.relu(h)
         if e.ndim == 1:

@@ -86,6 +86,13 @@ def test_shape_errors_name_op_and_shapes():
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError, match="add"):
         ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
+    for op in (ad.mul, ad.div):
+        with pytest.raises(ShapeError, match=rf"{op.__name__}: cannot broadcast \(2, 3\) with \(4,\)"):
+            op(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
+    with pytest.raises(ShapeError, match="matmul: cannot broadcast bias"):
+        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), bias=Tensor(np.ones(3)))
+    with pytest.raises(ShapeError, match="layernorm"):
+        ad.layernorm(Tensor(np.ones((2, 3))), gamma=Tensor(np.ones(4)))
 
 
 def test_finite_outputs_on_finite_inputs():
@@ -125,6 +132,51 @@ def test_backward_accumulates_across_calls():
     backward(loss)
     backward(loss)
     assert np.array_equal(x.grad, [2.0, 2.0])
+
+
+def test_shared_gradient_arrays_are_never_written_in_place():
+    from coprompt.encoders import _clip_global_norm
+
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    loss = (a + b).sum()
+    backward(loss)
+    # add hands both leaves the one array it was given
+    assert np.shares_memory(a.grad, b.grad)
+    backward(loss)
+    assert np.array_equal(a.grad, [2.0, 2.0]) and np.array_equal(b.grad, [2.0, 2.0])
+
+    a.zero_grad()
+    b.zero_grad()
+    backward(loss)
+    assert np.shares_memory(a.grad, b.grad)
+    # global norm 2 clipped to 1: each leaf's gradient is halved once, not twice
+    _clip_global_norm([a, b], 1.0)
+    SGD([a, b], lr=1.0).step()
+    assert np.array_equal(a.data, [0.5, 1.5]) and np.array_equal(b.data, [2.5, 3.5])
+
+
+def test_gradients_take_the_layout_of_their_tensor():
+    # transpose's backward returns a strided view and a broadcast tensor's
+    # data has zero strides; each stored gradient is laid out as
+    # np.empty_like(data), so a reduction over it sums in one fixed order
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    backward((ad.transpose(x, (0, 2, 1)) * Tensor(rng.normal(size=(2, 4, 3)))).sum())
+    assert x.grad.flags.c_contiguous
+    u = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    wide = ad.broadcast_to(u, (2, 3, 4))
+    backward((wide * Tensor(rng.normal(size=(2, 3, 4)))).sum())
+    assert wide.grad.strides == np.empty_like(wide.data).strides
+
+
+def test_backward_rejects_a_gradient_of_another_shape():
+    x = Tensor(np.ones(3), requires_grad=True)
+    # a broken op whose backward hands x a (1, 3) gradient; adding it into a
+    # (3,) buffer would broadcast it silently
+    bad = ad._from_op(x.data * 2.0, (x,), lambda g: ad._accumulate(x, g[None, :]))
+    with pytest.raises(GradError, match=r"gradient of shape \(1, 3\) for a tensor of shape \(3,\)"):
+        backward(bad.sum())
 
 
 def test_no_grad_records_nothing():

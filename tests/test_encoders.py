@@ -206,6 +206,22 @@ def test_backbone_checkpoint_roundtrip(tmp_path, enc, tok):
     assert np.array_equal(e1, e2)
 
 
+def test_load_backbone_draws_no_random_numbers(tmp_path, enc, monkeypatch):
+    frozen = enc.clone_frozen()
+    for t in frozen.weights.values():  # f32 values: the saved copy is exact
+        t.data = t.data.astype(np.float32).astype(np.float64)
+    save_backbone(str(tmp_path / "bb"), frozen)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_backbone drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    loaded = load_backbone(str(tmp_path / "bb"))
+    monkeypatch.undo()
+    assert list(loaded.weights) == list(frozen.weights)
+    assert loaded.weight_fingerprint() == frozen.weight_fingerprint()
+
+
 def test_backbone_checkpoint_detects_corruption(tmp_path, enc):
     save_backbone(str(tmp_path / "bb"), enc.clone_frozen())
     victim = tmp_path / "bb" / "text.tok_emb.bin"

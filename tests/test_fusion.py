@@ -1,0 +1,107 @@
+"""Fused graph nodes: the bias inside `matmul` and the gain/shift inside
+`layernorm` compute exactly what the separate ops compute, and the graph a
+block and a fine-tune step record stays at a pinned size."""
+
+import numpy as np
+import pytest
+
+import coprompt.autodiff as ad
+from coprompt.autodiff import Tensor, backward
+from coprompt.datasets import make_fewshot_split
+from coprompt.encoders import DualEncoder, EncoderConfig, Tokenizer
+from coprompt.training import TrainConfig, Trainer
+
+# nodes one block records when its input requires a gradient
+BLOCK_NODES = 23
+COMPOSED_BLOCK_NODES = 33
+# nodes one default fine-tune step records on the default suite's source
+# (348 with separate bias and gain/shift nodes)
+TRAIN_STEP_NODES = 254
+
+
+@pytest.fixture(scope="module")
+def tok():
+    return Tokenizer(["photo", "of", "zebra", "dots"])
+
+
+def _composed_block(enc, branch, j, x):
+    """`DualEncoder._block` with every bias add and layernorm gain/shift as
+    an op of its own."""
+    w, cfg = enc.weights, enc.config
+    p = f"{branch}.h{j}."
+
+    def linear(h, weight, bias):
+        return ad.matmul(h, w[p + weight]) + w[p + bias]
+
+    def norm(h, name):
+        return ad.layernorm(h) * w[p + name + ".g"] + w[p + name + ".b"]
+
+    b, s = x.shape[0], x.shape[1]
+    heads, hd = cfg.heads, cfg.width // cfg.heads
+    split = (b, s, heads, hd)
+    h = norm(x, "ln1")
+    q = ad.transpose(ad.reshape(linear(h, "attn.wq", "attn.bq"), split), (0, 2, 1, 3))
+    k = ad.transpose(ad.reshape(linear(h, "attn.wk", "attn.bk"), split), (0, 2, 3, 1))
+    v = ad.transpose(ad.reshape(linear(h, "attn.wv", "attn.bv"), split), (0, 2, 1, 3))
+    att = ad.softmax(ad.matmul(q, k) * (1.0 / np.sqrt(hd)), axis=-1)
+    o = ad.reshape(ad.transpose(ad.matmul(att, v), (0, 2, 1, 3)), (b, s, cfg.width))
+    x = x + linear(o, "attn.wo", "attn.bo")
+    h = ad.gelu(linear(norm(x, "ln2"), "mlp.w1", "mlp.b1"))
+    return x + linear(h, "mlp.w2", "mlp.b2")
+
+
+def _counted(fn):
+    """(fn(), graph nodes it recorded)."""
+    before = ad._seq_counter
+    out = fn()
+    return out, ad._seq_counter - before
+
+
+def _block_run(enc, block, x0, r):
+    """Output and every leaf gradient of one block under a fixed functional."""
+    x = Tensor(x0, requires_grad=True)
+    for t in enc.weights.values():
+        t.zero_grad()
+    out = block(enc, "img", 1, x)
+    backward((out * Tensor(r)).sum())
+    grads = {name: t.grad for name, t in enc.weights.items() if t.grad is not None}
+    return out.data, x.grad, grads
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_fused_block_equals_composed_bitwise(tok, frozen):
+    enc = DualEncoder(EncoderConfig(), tok, seed=4, frozen=frozen)
+    rng = np.random.default_rng(8)
+    # non-trivial gains and shifts, so a dropped term would show
+    for name, t in enc.weights.items():
+        if name.endswith((".g", ".b")) or ".attn.b" in name or ".mlp.b" in name:
+            t.data = t.data + rng.normal(0.0, 0.1, t.shape)
+    x0 = rng.normal(size=(3, 7, 64))
+    r = rng.normal(size=(3, 7, 64))
+    fused = _block_run(enc, DualEncoder._block, x0, r)
+    composed = _block_run(enc, _composed_block, x0, r)
+    assert np.array_equal(fused[0], composed[0])
+    assert np.array_equal(fused[1], composed[1])
+    assert sorted(fused[2]) == sorted(composed[2])
+    assert len(fused[2]) == (0 if frozen else 16)
+    for name in fused[2]:
+        assert np.array_equal(fused[2][name], composed[2][name]), name
+
+
+def test_block_node_count(tok):
+    enc = DualEncoder(EncoderConfig(), tok, seed=0, frozen=True)
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 5, 64)), requires_grad=True)
+    _, fused = _counted(lambda: enc._block("text", 0, x))
+    _, composed = _counted(lambda: _composed_block(enc, "text", 0, x))
+    assert (fused, composed) == (BLOCK_NODES, COMPOSED_BLOCK_NODES)
+
+
+def test_train_step_node_count(source):
+    """A deterministic stand-in for step time: an edit that un-fuses a node
+    fails here instead of silently slowing fine-tuning."""
+    tok = Tokenizer.from_manifests([source.manifest])
+    backbone = DualEncoder(EncoderConfig(), tok, seed=0, frozen=True)
+    cfg = TrainConfig()
+    trainer = Trainer(backbone, cfg, make_fewshot_split(source, cfg.shots, cfg.seed))
+    _, nodes = _counted(trainer.train_step)
+    assert nodes == TRAIN_STEP_NODES

@@ -40,6 +40,35 @@ def test_grad_matmul(rng):
     a3 = rng.normal(size=(2, 3, 4))
     r3 = rng.normal(size=(2, 3, 2))
     assert_grads_match(lambda ts: (ad.matmul(ts[0], ts[1]) * Tensor(r3)).sum(), [a3, b])
+    # a fused bias: its gradient sums over every leading axis
+    bias = rng.normal(size=2)
+    assert_grads_match(lambda ts: (ad.matmul(ts[0], ts[1], bias=ts[2]) * Tensor(r)).sum(),
+                       [a, b, bias])
+    assert_grads_match(lambda ts: (ad.matmul(ts[0], ts[1], bias=ts[2]) * Tensor(r3)).sum(),
+                       [a3, b, bias])
+    # a bias that needs no gradient gets none
+    const = Tensor(bias)
+    assert_grads_match(lambda ts: (ad.matmul(ts[0], ts[1], bias=const) * Tensor(r3)).sum(),
+                       [a3, b])
+    assert const.grad is None
+
+
+@pytest.mark.parametrize("rng", _rngs())
+def test_grad_layernorm_gain_shift(rng):
+    a = rng.normal(size=(2, 3, 6)) * 2
+    gamma = rng.normal(size=6)
+    beta = rng.normal(size=6)
+    r = rng.normal(size=(2, 3, 6))
+    assert_grads_match(lambda ts: (ad.layernorm(ts[0], ts[1], ts[2]) * Tensor(r)).sum(),
+                       [a, gamma, beta])
+    assert_grads_match(lambda ts: (ad.layernorm(ts[0], gamma=ts[1]) * Tensor(r)).sum(),
+                       [a, gamma])
+    assert_grads_match(lambda ts: (ad.layernorm(ts[0], beta=ts[1]) * Tensor(r)).sum(),
+                       [a, beta])
+    # a frozen gain and shift, as in a frozen encoder
+    g_const, b_const = Tensor(gamma), Tensor(beta)
+    assert_grads_match(lambda ts: (ad.layernorm(ts[0], g_const, b_const) * Tensor(r)).sum(), [a])
+    assert g_const.grad is None and b_const.grad is None
 
 
 @pytest.mark.parametrize("rng", _rngs())
