@@ -47,10 +47,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled():
-    return _grad_enabled
-
-
 class Tensor:
     """N-dimensional float64 array, optionally tracked by the autodiff graph.
 
@@ -85,9 +81,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self):
-        return Tensor(self.data)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""

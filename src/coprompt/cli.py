@@ -229,9 +229,6 @@ def cmd_pretrain(cfg):
 # finetune
 
 
-FINETUNE_DEFAULTS = {"train": {}}
-
-
 def cmd_finetune(cfg):
     _check_keys(cfg, {"backbone", "dataset", "out", "train", "max_steps"}, "finetune")
     bb_dir = _require_dir(_require(cfg, "backbone", "finetune"), "backbone")
@@ -357,53 +354,33 @@ COMPONENT_ALIASES = {
     "(cons=off, pert=on, adp=off)": "baseline",
 }
 
-AXIS_VALUES = {
-    "components": [label for label, _ in COMPONENT_ROWS],
-    "criterion": ["cosine", "l1", "mse"],
-    "modality": ["image_only", "text_only", "both"],
-    "augmentation": ["same", "simple", "hard"],
-    "adapter_layers": [1, 2, 3],
-    "adapter_modality": ["text", "image", "both"],
-    "lambda": [0.1, 1.0, 2.0, 8.0],
-    "prompt_depth": None,   # filled from the encoder layer count
-    "epochs": [3, 5, 8, 10],
+
+def _rows(path, values):
+    """One row per value of a single dotted train-config path."""
+    return [(str(v), {path: v}) for v in values]
+
+
+# Every ablation axis is a list of rows: (label, {dotted train-config path:
+# value}), applied over the base train config like `--override`.
+ABLATION_AXES = {
+    "components": [(label, {"consistency.enabled": cons,
+                            "consistency.perturb_text": pert,
+                            "consistency.perturb_image": "simple" if pert else "none",
+                            "adapter_modality": "both" if adp else "none"})
+                   for label, (cons, pert, adp) in COMPONENT_ROWS],
+    "criterion": _rows("consistency.criterion", ["cosine", "l1", "mse"]),
+    "modality": _rows("consistency.modality", ["image_only", "text_only", "both"]),
+    "augmentation": [(label, {"consistency.perturb_image": mode}) for label, mode in
+                     [("same", "none"), ("simple", "simple"), ("hard", "hard")]],
+    "adapter_layers": _rows("adapter_layers", [1, 2, 3]),
+    "adapter_modality": _rows("adapter_modality", ["text", "image", "both"]),
+    "lambda": _rows("lambda", [0.1, 1.0, 2.0, 8.0]),
+    "prompt_depth": None,   # one row per encoder layer of the backbone
+    "epochs": _rows("epochs", [3, 5, 8, 10]),
 }
 
 ABLATE_DEFAULT_AXES = ["components", "criterion", "augmentation",
                        "adapter_layers", "lambda"]
-
-
-def _row_config(base_train, axis, value):
-    """Train-config dict for one ablation row."""
-    train = json.loads(json.dumps(base_train))  # deep copy
-    cons = train.setdefault("consistency", {})
-    if axis == "components":
-        toggles = dict(COMPONENT_ROWS)[value]
-        cons_on, pert_on, adp_on = toggles
-        cons["enabled"] = cons_on
-        cons["perturb_text"] = pert_on
-        cons["perturb_image"] = "simple" if pert_on else "none"
-        train["adapter_modality"] = "both" if adp_on else "none"
-    elif axis == "criterion":
-        cons["criterion"] = value
-    elif axis == "modality":
-        cons["modality"] = value
-    elif axis == "augmentation":
-        cons["perturb_image"] = {"same": "none", "simple": "simple",
-                                 "hard": "hard"}[value]
-    elif axis == "adapter_layers":
-        train["adapter_layers"] = int(value)
-    elif axis == "adapter_modality":
-        train["adapter_modality"] = value
-    elif axis == "lambda":
-        train["lambda"] = float(value)
-    elif axis == "prompt_depth":
-        train["prompt_depth"] = int(value)
-    elif axis == "epochs":
-        train["epochs"] = int(value)
-    else:
-        raise ConfigError(f"unknown ablation axis {axis!r}")
-    return train
 
 
 def _run_job(payload):
@@ -440,25 +417,51 @@ def _run_jobs(jobs):
         return list(pool.map(_run_job, jobs))
 
 
-def _emit_axis_tables(out, axis, values, results):
+def _emit_axis_tables(out, axis, labels, results):
     rows = [r for r in results if r["axis"] == axis]
     per_seed = [[r["row"], r["seed"], r["base"], r["novel"], r["hm"]] for r in rows]
     write_eval_outputs(out, f"ablation_{axis}", per_seed,
                        ["row", "seed", "base", "novel", "hm"])
     summary = []
-    for value in values:
-        matching = [r for r in rows if r["row"] == str(value) or r["row"] == value]
+    for label in labels:
+        matching = [r for r in rows if r["row"] == label]
         if not matching:
             continue
         summary.append([
-            value,
+            label,
             statistics.median(r["base"] for r in matching),
             statistics.median(r["novel"] for r in matching),
             statistics.median(r["hm"] for r in matching),
         ])
     write_eval_outputs(out, f"ablation_{axis}_summary", summary,
                        [axis, "median_base", "median_novel", "median_hm"])
-    return summary
+
+
+def _run_axes(bb_dir, ds_dir, out, base_train, seeds, axes):
+    """Fine-tune and evaluate every (row, seed) of every axis, then write a
+    per-seed and a median table per axis; returns the per-run results.
+
+    `axes` holds (axis, rows, rows_dir) triples. A row is (label, {dotted
+    train-config path: value}); it runs under `rows_dir/<label>_seed<seed>`.
+    """
+    jobs = []
+    for axis, rows, rows_dir in axes:
+        for label, paths in rows:
+            train = json.loads(json.dumps(base_train))  # deep copy
+            for path, value in paths.items():
+                _apply_override(train, path, value)
+            TrainConfig.from_dict(train)
+            for seed in seeds:
+                jobs.append({
+                    "backbone": bb_dir, "dataset": ds_dir, "train": train,
+                    "seed": seed, "axis": axis, "row": label,
+                    "out": os.path.join(rows_dir, f"{label}_seed{seed}"),
+                })
+    results = _run_jobs(jobs)
+    os.makedirs(out, exist_ok=True)
+    for axis, rows, _ in axes:
+        _emit_axis_tables(out, axis, [label for label, _ in rows], results)
+    return results
 
 
 def cmd_ablate(cfg):
@@ -470,29 +473,16 @@ def cmd_ablate(cfg):
     seeds = cfg.get("seeds", [0])
     axes = cfg.get("axes", ABLATE_DEFAULT_AXES)
     base_train = cfg.get("train", {})
-    TrainConfig.from_dict(json.loads(json.dumps(base_train)))  # validate early
+    TrainConfig.from_dict(base_train)  # validate early
 
     layers = EncoderConfig.from_dict(
         read_json(os.path.join(bb_dir, "manifest.json"))["config"]).layers
-    jobs = []
-    axis_values = {}
     for axis in axes:
-        if axis not in AXIS_VALUES:
+        if axis not in ABLATION_AXES:
             raise ConfigError(f"unknown ablation axis {axis!r}")
-        values = AXIS_VALUES[axis] or list(range(1, layers + 1))
-        axis_values[axis] = values
-        for value in values:
-            for seed in seeds:
-                jobs.append({
-                    "backbone": bb_dir, "dataset": ds_dir,
-                    "train": _row_config(base_train, axis, value),
-                    "seed": seed, "axis": axis, "row": str(value),
-                    "out": os.path.join(out, "rows", axis, f"{value}_seed{seed}"),
-                })
-    results = _run_jobs(jobs)
-    os.makedirs(out, exist_ok=True)
-    for axis in axes:
-        _emit_axis_tables(out, axis, [str(v) for v in axis_values[axis]], results)
+    results = _run_axes(bb_dir, ds_dir, out, base_train, seeds, [
+        (axis, ABLATION_AXES[axis] or _rows("prompt_depth", range(1, layers + 1)),
+         os.path.join(out, "rows", axis)) for axis in axes])
     write_json(os.path.join(out, "results.json"),
                {"results": results, "component_aliases": COMPONENT_ALIASES})
     _echo_config(out, {"backbone": bb_dir, "dataset": ds_dir, "out": out,
@@ -513,21 +503,8 @@ def cmd_sweep(cfg):
     seeds = cfg.get("seeds", [0])
     base_train = cfg.get("train", {})
 
-    jobs = []
-    for value in values:
-        train = json.loads(json.dumps(base_train))
-        _apply_override(train, axis, value)
-        TrainConfig.from_dict(json.loads(json.dumps(train)))
-        for seed in seeds:
-            jobs.append({
-                "backbone": bb_dir, "dataset": ds_dir, "train": train,
-                "seed": seed, "axis": axis, "row": str(value),
-                "out": os.path.join(out, "rows", f"{value}_seed{seed}"),
-            })
-    results = _run_jobs(jobs)
-    os.makedirs(out, exist_ok=True)
-    _emit_axis_tables(out, axis, [str(v) for v in values],
-                      [dict(r, axis=axis) for r in results])
+    results = _run_axes(bb_dir, ds_dir, out, base_train, seeds,
+                        [(axis, _rows(axis, values), os.path.join(out, "rows"))])
     write_json(os.path.join(out, "results.json"), {"results": results})
     _echo_config(out, {"backbone": bb_dir, "dataset": ds_dir, "out": out,
                        "seeds": seeds, "axis": axis, "values": values,

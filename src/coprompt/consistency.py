@@ -75,15 +75,16 @@ class DescriptionStore:
                     raise ValueError(
                         f"description for {name!r} has {len(t)} tokens > text_len {text_len}: {s!r}")
             self._tokens[name] = toks
+            # a class name outside the vocabulary would encode as <unk>, and
+            # every such class would share one template; descriptions may
+            # hold <unk> words, class names may not
+            tokenizer.encode(name, strict=True)
             self._templates[name] = tokenizer.encode(TEMPLATE_PROMPT.format(name=name))
 
     @staticmethod
     def from_manifest(manifest, tokenizer, text_len):
         return DescriptionStore({c.name: c.descriptions for c in manifest.classes},
                                 tokenizer, text_len)
-
-    def class_names(self):
-        return list(self._tokens)
 
     def template_tokens(self, class_name):
         if class_name not in self._templates:

@@ -30,6 +30,11 @@ SPECIALS = ("<pad>", "<sos>", "<eos>", "<unk>")
 TAU_MIN, TAU_MAX = 0.01, 100.0
 TAU_INIT = 0.5
 
+# contrastive pre-training guards; `contrastive_pretrain` gives the reasons
+WARMUP_STEPS = 30
+TAU_LR_SCALE = 0.05
+CLIP_NORM = 1.0
+
 
 class VocabularyError(ValueError):
     """Words outside the tokenizer vocabulary where UNK is not allowed."""
@@ -370,11 +375,11 @@ class PretrainSplit:
     num_classes: int
 
 
-def build_pretrain_split(datasets, tokenizer, heldout_pool="val"):
+def build_pretrain_split(datasets, tokenizer):
     """Image/caption pairs over full class sets, mirroring broad pretraining.
 
     Captions and class templates are token id tuples, ready for a batched
-    `encode_text` call.
+    `encode_text` call. Held-out examples come from the "val" pool.
     """
     examples, heldout, templates = [], [], []
     class_index = {}
@@ -388,7 +393,7 @@ def build_pretrain_split(datasets, tokenizer, heldout_pool="val"):
             for idx in ds.pool_indices(cls.id, "train"):
                 examples.append(PretrainExample(ds.records[idx].pixels, captions,
                                                 class_index[key]))
-            for idx in ds.pool_indices(cls.id, heldout_pool):
+            for idx in ds.pool_indices(cls.id, "val"):
                 heldout.append(PretrainExample(ds.records[idx].pixels, captions,
                                                class_index[key]))
     return PretrainSplit(examples, heldout, templates, len(templates))
@@ -417,17 +422,17 @@ def retrieval_accuracy(enc, examples, class_templates):
 
 
 def contrastive_pretrain(enc, split: PretrainSplit, epochs=6, lr=0.05,
-                         batch_size=32, momentum=0.9, seed=0,
-                         warmup_steps=30, tau_lr_scale=0.05, clip_norm=1.0):
+                         batch_size=32, momentum=0.9, seed=0):
     """Train the dual encoder with a symmetric in-batch contrastive loss.
 
     Batches are class-stratified (distinct classes, one example each): with
     class-level captions, same-class in-batch negatives are label noise, and
     removing them also keeps per-batch difficulty constant. Small-batch SGD
     on a contrastive objective is unstable without the standard guards, so
-    the schedule warms up linearly then cosine-decays, gradients are clipped
-    at a global norm, and the temperature learns at a reduced rate (in log
-    space, clamped to [0.01, 100] after every step).
+    the schedule warms up linearly over `WARMUP_STEPS` then cosine-decays,
+    gradients are clipped at the global norm `CLIP_NORM`, and the
+    temperature learns at `TAU_LR_SCALE` times the rate (in log space,
+    clamped to [`TAU_MIN`, `TAU_MAX`] after every step).
 
     The clip keeps small batches out of a collapsed optimum. The first
     gradients have global norms of 2-4, mostly from the text branch. Taken
@@ -436,8 +441,8 @@ def contrastive_pretrain(enc, split: PretrainSplit, epochs=6, lr=0.05,
     is nearly flat (loss ln(classes per palette in the batch), gradient
     norms near 0.005), so training never leaves it. On 8 classes (2 palettes
     x 4 patterns) at batch 8 and lr 0.08, a clip of 5.0 fires on 1% of steps
-    and ends there, at retrieval 0.25; the 1.0 default fires on about half
-    of them and reaches 0.71.
+    and ends there, at retrieval 0.25; a `CLIP_NORM` of 1.0 fires on about
+    half of them and reaches 0.71.
 
     Returns (encoder, history) with per-step losses and held-out retrieval
     accuracy.
@@ -452,7 +457,7 @@ def contrastive_pretrain(enc, split: PretrainSplit, epochs=6, lr=0.05,
     log_tau = enc.weights["log_tau"]
     params = [t for name, t in enc.param_items() if name != "log_tau"]
     opt = ad.SGD(params, lr=lr, momentum=momentum)
-    opt_tau = ad.SGD([log_tau], lr=lr * tau_lr_scale, momentum=momentum)
+    opt_tau = ad.SGD([log_tau], lr=lr * TAU_LR_SCALE, momentum=momentum)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 77001]))
     losses = []
 
@@ -465,13 +470,13 @@ def contrastive_pretrain(enc, split: PretrainSplit, epochs=6, lr=0.05,
     n = len(split.examples)
     steps = epochs * max(1, n // max(2, per_batch))
     for step in range(steps):
-        if step < warmup_steps:
-            scale = (step + 1) / warmup_steps
+        if step < WARMUP_STEPS:
+            scale = (step + 1) / WARMUP_STEPS
         else:
-            progress = (step - warmup_steps) / max(1, steps - warmup_steps)
+            progress = (step - WARMUP_STEPS) / max(1, steps - WARMUP_STEPS)
             scale = 0.1 + 0.9 * 0.5 * (1.0 + np.cos(np.pi * progress))
         opt.lr = lr * scale
-        opt_tau.lr = lr * tau_lr_scale * scale
+        opt_tau.lr = lr * TAU_LR_SCALE * scale
 
         chosen = rng.choice(len(class_ids), size=per_batch, replace=False)
         batch = []
@@ -486,7 +491,7 @@ def contrastive_pretrain(enc, split: PretrainSplit, epochs=6, lr=0.05,
         loss = 0.5 * (ad.cross_entropy_from_logits(logits, labels)
                       + ad.cross_entropy_from_logits(ad.transpose(logits, (1, 0)), labels))
         ad.backward(loss)
-        _clip_global_norm(params + [log_tau], clip_norm)
+        _clip_global_norm(params + [log_tau], CLIP_NORM)
         opt.step()
         opt_tau.step()
         log_tau.data = np.clip(log_tau.data, np.log(TAU_MIN), np.log(TAU_MAX))
@@ -507,7 +512,7 @@ def contrastive_pretrain(enc, split: PretrainSplit, epochs=6, lr=0.05,
 BACKBONE_MANIFEST = "manifest.json"
 
 
-def save_backbone(directory, enc: DualEncoder, extra=None):
+def save_backbone(directory, enc: DualEncoder):
     """Write config + vocab + per-weight f32 tensor files; returns content hash."""
     # displayed tau comes from the narrowed (f32) log_tau so that
     # save -> load -> save is a fixed point
@@ -519,8 +524,6 @@ def save_backbone(directory, enc: DualEncoder, extra=None):
         "vocab": enc.tokenizer.to_dict(),
         "tau": tau_meta,
     }
-    if extra:
-        meta["extra"] = extra
     return write_checkpoint(directory, meta, [(n, t.data) for n, t in enc.param_items()],
                             manifest=BACKBONE_MANIFEST)
 

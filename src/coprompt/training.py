@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import SGD, Tensor
+from .autodiff import SGD
 from .checkpoints import (
     CheckpointError,
     canonical_json,
@@ -66,8 +66,6 @@ class TrainConfig:
     prompt_depth: int | None = None
     adapter_modality: str = "both"
     adapter_layers: int = 2
-    adapter_residual: bool = True
-    supervised_path: str = "tuned"
     detach_consistency: bool = False
 
     def __post_init__(self):
@@ -77,8 +75,6 @@ class TrainConfig:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
-        if self.supervised_path not in ("tuned", "frozen_text"):
-            raise ValueError(f"unknown supervised_path {self.supervised_path!r}")
 
     def to_dict(self):
         d = {
@@ -94,8 +90,6 @@ class TrainConfig:
             "prompt_depth": self.prompt_depth,
             "adapter_modality": self.adapter_modality,
             "adapter_layers": self.adapter_layers,
-            "adapter_residual": self.adapter_residual,
-            "supervised_path": self.supervised_path,
             "detach_consistency": self.detach_consistency,
         }
         return d
@@ -106,8 +100,7 @@ class TrainConfig:
         allowed = {
             "lambda", "lr", "momentum", "batch_size", "epochs", "shots", "seed",
             "consistency", "prompt_m", "prompt_depth", "adapter_modality",
-            "adapter_layers", "adapter_residual", "supervised_path",
-            "detach_consistency",
+            "adapter_layers", "detach_consistency",
         }
         unknown = set(d) - allowed
         if unknown:
@@ -218,7 +211,7 @@ def tuned_model(backbone: DualEncoder, cfg: TrainConfig) -> TunedModel:
     prompt_set = PromptSet(backbone.config.width, layers, m=cfg.prompt_m, depth=depth,
                            rng=init_rng)
     adapters = make_adapters(backbone.config.embed_dim, cfg.adapter_modality,
-                             cfg.adapter_layers, cfg.adapter_residual, rng=init_rng)
+                             cfg.adapter_layers, rng=init_rng)
     return TunedModel(backbone, prompt_set, adapters)
 
 
@@ -292,11 +285,12 @@ class Trainer:
 
         img_batch = self.model.image_embedding(np.stack(views_tuned))
 
-        if cfg.supervised_path == "tuned":
-            ce = supervised_loss(img_batch, class_embs, labels, self.backbone.tau)
-        else:
-            frozen_cls = np.stack([self.frozen_text[t] for t in self.class_tokens])
-            ce = supervised_loss(img_batch, Tensor(frozen_cls), labels, self.backbone.tau)
+        ce = supervised_loss(img_batch, class_embs, labels, self.backbone.tau)
+        ce_val = ce.item()
+        # every tuned input of the consistency term also feeds ce, so a
+        # finite ce means finite inputs there
+        if not np.isfinite(ce_val):
+            raise NonFiniteLossError(self.step, ce_val, float("nan"))
 
         cc = None
         if cons.enabled:
@@ -309,23 +303,14 @@ class Trainer:
             with ad.no_grad():
                 frozen_img = self.backbone.encode_image(np.stack(views_frozen)).data
             tuned_text = ad.slice_(class_embs, labels)
-            try:
-                cc = consistency_loss(cons, frozen_text, tuned_text, frozen_img, img_batch)
-            except ValueError as e:
-                if "non-finite" in str(e):
-                    raise NonFiniteLossError(self.step, ce.item(), float("nan")) from e
-                raise
+            cc = consistency_loss(cons, frozen_text, tuned_text, frozen_img, img_batch)
 
-        if cc is not None and not cfg.detach_consistency:
-            total = total_loss(ce, cc, cfg.lambda_)
-        else:
-            total = ce
-
-        ce_val = ce.item()
+        coupled = cc is not None and not cfg.detach_consistency
         cc_val = cc.item() if cc is not None else 0.0
-        total_val = ce_val + cfg.lambda_ * cc_val if cc is not None and not cfg.detach_consistency else ce_val
+        total_val = ce_val + cfg.lambda_ * cc_val if coupled else ce_val
         if not np.isfinite(total_val):
             raise NonFiniteLossError(self.step, ce_val, cc_val)
+        total = total_loss(ce, cc, cfg.lambda_) if coupled else ce
 
         ad.backward(total)
         self.opt.step()
@@ -465,8 +450,7 @@ def read_history_csv(path):
     return rows
 
 
-def save_finetune_checkpoint(directory, trainer: Trainer, metrics,
-                             backbone_ref=None, dataset_hash=None):
+def save_finetune_checkpoint(directory, trainer: Trainer, metrics, backbone_ref=None):
     meta = {
         "kind": "finetune",
         "format_version": 1,
@@ -474,7 +458,7 @@ def save_finetune_checkpoint(directory, trainer: Trainer, metrics,
         "backbone_fingerprint": trainer.backbone_fingerprint,
         "backbone_hash": backbone_hash(backbone_ref) if backbone_ref else None,
         "backbone_path": backbone_ref,
-        "dataset_hash": dataset_hash or trainer.data.dataset.content_hash,
+        "dataset_hash": trainer.data.dataset.content_hash,
         "base_class_ids": list(trainer.data.base_class_ids),
         "shots_seed": trainer.data.seed,
     }

@@ -74,15 +74,13 @@ class PromptSet:
 class Adapter:
     """Bottleneck transform over an output embedding.
 
-    1 to 3 linear layers with ReLU between them; the last layer starts at
-    zero so the adapter is an exact identity at initialization (the residual
-    plus re-normalization keeps unit-norm inputs unit-norm). Setting
-    ``residual_renorm=False`` selects the plain reading with neither the
-    skip nor the re-normalization.
+    1 to 3 linear layers with ReLU between them, added to the input and
+    re-normalized; the last layer starts at zero so the adapter is an exact
+    identity at initialization (the residual plus re-normalization keeps
+    unit-norm inputs unit-norm).
     """
 
-    def __init__(self, embed_dim, n_layers=2, bottleneck=None, branch="text",
-                 residual_renorm=True, rng=None):
+    def __init__(self, embed_dim, n_layers=2, bottleneck=None, branch="text", rng=None):
         if n_layers not in (1, 2, 3):
             raise ValueError(f"adapter supports 1-3 layers, got {n_layers}")
         if branch not in ADAPTER_BRANCHES:
@@ -91,7 +89,6 @@ class Adapter:
         self.embed_dim = embed_dim
         self.n_layers = n_layers
         self.branch = branch
-        self.residual_renorm = residual_renorm
         rng = rng or np.random.default_rng(0)
 
         dims = {1: [embed_dim, embed_dim],
@@ -116,9 +113,7 @@ class Adapter:
                 h = ad.relu(h)
         if e.ndim == 1:
             h = ad.reshape(h, (self.embed_dim,))
-        if self.residual_renorm:
-            return ad.l2_normalize(e + h)
-        return h
+        return ad.l2_normalize(e + h)
 
     def param_items(self):
         name = f"adapter.{self.branch}"
@@ -136,14 +131,14 @@ def apply_adapter(adapter, e):
     return adapter.apply(e)
 
 
-def make_adapters(embed_dim, modality="both", n_layers=2, residual_renorm=True, rng=None):
+def make_adapters(embed_dim, modality="both", n_layers=2, rng=None):
     """Adapter pair keyed by branch; entries are None where disabled."""
     if modality not in ("none", "text", "image", "both"):
         raise ValueError(f"unknown adapter modality {modality!r}")
     rng = rng or np.random.default_rng(0)
-    text = Adapter(embed_dim, n_layers, branch="text", residual_renorm=residual_renorm,
+    text = Adapter(embed_dim, n_layers, branch="text",
                    rng=rng) if modality in ("text", "both") else None
-    image = Adapter(embed_dim, n_layers, branch="image", residual_renorm=residual_renorm,
+    image = Adapter(embed_dim, n_layers, branch="image",
                     rng=rng) if modality in ("image", "both") else None
     return {"text": text, "image": image}
 

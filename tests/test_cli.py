@@ -51,13 +51,29 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "colour" in capsys.readouterr().err
 
 
-def test_unknown_train_key_exits_2(rig, tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("learning_rate", 1.0),
+                                        ("supervised_path", "tuned"),
+                                        ("adapter_residual", True)])
+def test_unknown_train_key_exits_2(rig, tmp_path, capsys, key, value):
     root, suite_dir, bb_dir = rig
     cfg = _write(tmp_path / "f.json", {
         "backbone": str(bb_dir), "dataset": str(suite_dir / "fields_a"),
-        "out": str(tmp_path / "ft"), "train": {"learning_rate": 1.0}})
+        "out": str(tmp_path / "ft"), "train": {key: value}})
     assert main(["finetune", "--config", cfg]) == 2
-    assert "learning_rate" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
+
+
+def test_finetune_refuses_class_names_outside_vocabulary(rig, tmp_path, capsys):
+    # the rig backbone never saw fields_c, so its class names are not in the
+    # vocabulary; each would encode as <unk> and every template would collide
+    root, suite_dir, bb_dir = rig
+    cfg = _write(tmp_path / "f.json", {
+        "backbone": str(bb_dir), "dataset": str(suite_dir / "fields_c"),
+        "out": str(tmp_path / "ft"), "train": TINY_TRAIN})
+    assert main(["finetune", "--config", cfg]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown words:")
+    assert not (tmp_path / "ft").exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "2.5"])

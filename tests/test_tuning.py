@@ -46,7 +46,7 @@ def test_adapter_identity_at_init_all_depths(n_layers):
 
 
 def test_adapter_zero_input_zero_prenorm_output():
-    a = Adapter(32, n_layers=2, residual_renorm=False, rng=np.random.default_rng(4))
+    a = Adapter(32, n_layers=2, rng=np.random.default_rng(4))
     out = apply_adapter(a, Tensor(np.zeros(32))).data
     assert np.all(out == 0.0)
 
