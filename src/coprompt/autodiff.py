@@ -158,12 +158,17 @@ def _wrap(value):
 _seq_counter = 0
 
 
+def records(tensors):
+    """True when an op over `tensors` is recorded: not in `no_grad`, and one requires grad."""
+    return _grad_enabled and any(t.requires_grad for t in tensors)
+
+
 def _from_op(data, parents, backward):
     global _seq_counter
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if records(parents):
         _seq_counter += 1
         out.requires_grad = True
         out._parents = tuple(parents)

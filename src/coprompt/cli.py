@@ -450,6 +450,9 @@ def _run_axes(bb_dir, ds_dir, out, base_train, seeds, axes):
             train = json.loads(json.dumps(base_train))  # deep copy
             for path, value in paths.items():
                 _apply_override(train, path, value)
+            if "seed" in train:
+                raise ConfigError('train.seed is set per run by "seeds"; list the seeds '
+                                  'there, not in "train" or as a sweep axis')
             TrainConfig.from_dict(train)
             for seed in seeds:
                 jobs.append({

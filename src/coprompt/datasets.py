@@ -365,7 +365,7 @@ def generate_dataset(manifest: DatasetManifest, out_dir=None) -> Dataset:
 # ---------------------------------------------------------------------------
 # shifted variants
 
-SHIFTS = ("identity", "palette_shift", "noise", "style_remap")
+VARIANT_SHIFTS = ("identity", "palette_shift", "noise", "style_remap")
 # std of the `noise` shift's pixel noise; against [0, 1] pixels it leaves
 # nothing of the class signal after clipping (centroid accuracy at chance)
 NOISE_SIGMA = 10.0
@@ -373,8 +373,8 @@ NOISE_SIGMA = 10.0
 
 def make_shifted_variant(dataset: Dataset, shift, out_dir=None) -> Dataset:
     """Label-preserving distribution shift over every image of a dataset."""
-    if shift not in SHIFTS:
-        raise DatasetError(f"unknown shift {shift!r}; expected one of {SHIFTS}")
+    if shift not in VARIANT_SHIFTS:
+        raise DatasetError(f"unknown shift {shift!r}; expected one of {VARIANT_SHIFTS}")
     src = dataset.manifest
     manifest = DatasetManifest.from_dict(src.to_dict())
     manifest.name = f"{src.name}-{shift}"
@@ -467,7 +467,6 @@ SUITE_FAMILIES = {
 
 SOURCE_FAMILY = "fields_a"
 TARGET_FAMILIES = ("fields_b", "fields_c", "fields_d")
-VARIANT_SHIFTS = ("identity", "palette_shift", "noise", "style_remap")
 
 
 def build_default_suite(root, seed=7, source_counts=(24, 4, 24), target_counts=(20, 4, 8),

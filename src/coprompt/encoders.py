@@ -35,6 +35,8 @@ WARMUP_STEPS = 30
 TAU_LR_SCALE = 0.05
 CLIP_NORM = 1.0
 
+IMAGE_TILE = 32  # images per graph-free pass: small temporaries are reused, not re-faulted
+
 
 class VocabularyError(ValueError):
     """Words outside the tokenizer vocabulary where UNK is not allowed."""
@@ -333,7 +335,9 @@ class DualEncoder:
         One (image_size, image_size, channels) array gives an (embed_dim,)
         embedding; a (B, image_size, image_size, channels) batch gives
         (B, embed_dim) rows. `prompts` is a list of per-layer (m, width)
-        vision prompt tensors, injected as in `encode_text`.
+        vision prompt tensors, injected as in `encode_text`. A call that
+        records no graph runs in tiles of `IMAGE_TILE` images; its rows equal
+        the one-pass rows exactly.
         """
         cfg = self.config
         imgs = np.asarray(images)
@@ -346,14 +350,24 @@ class DualEncoder:
             imgs = imgs[None]
         if imgs.shape[0] == 0:
             raise ShapeError("encode_image: empty batch")
+        if len(imgs) <= IMAGE_TILE or ad.records([*self.weights.values(), *(prompts or ())]):
+            e = self._encode_image_tile(imgs, prompts)
+        else:
+            tiles = [self._encode_image_tile(imgs[i:i + IMAGE_TILE], prompts).data
+                     for i in range(0, len(imgs), IMAGE_TILE)]
+            e = Tensor(np.concatenate(tiles))
+        return ad.reshape(e, (cfg.embed_dim,)) if single else e
+
+    def _encode_image_tile(self, imgs, prompts):
+        """(B, H, W, C) images -> (B, embed_dim) embeddings in one pass."""
+        cfg = self.config
         w = self.weights
         patches = Tensor(patchify(imgs, cfg.patch_grid))
         x = ad.matmul(patches, w["img.patch.w"], bias=w["img.patch.b"]) + w["img.pos_emb"]
         x, m = self._run_layers("img", x, prompts)
         x = ad.slice_(x, (slice(None), slice(m, m + cfg.num_patches)))
         x = ad.layernorm(x, w["img.lnf.g"], w["img.lnf.b"])
-        e = self._project("img", ad.mean(x, axis=1))
-        return ad.reshape(e, (cfg.embed_dim,)) if single else e
+        return self._project("img", ad.mean(x, axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@ code as a batch of one. These tests pin the two forms together at 1e-12,
 for embeddings and for the gradients of the tuning parameters.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import coprompt.autodiff as ad
 from coprompt.autodiff import ShapeError, Tensor
-from coprompt.encoders import DualEncoder, EncoderConfig, Tokenizer
+from coprompt import encoders
+from coprompt.encoders import IMAGE_TILE, DualEncoder, EncoderConfig, Tokenizer
 from coprompt.training import TunedModel
 from coprompt.tuning import PromptSet, make_adapters, trainable_parameters
 
@@ -129,3 +132,59 @@ def test_empty_batches_and_bad_shapes_raise():
         enc.encode_image(np.zeros((0, 16, 16, 3)))
     with pytest.raises(ShapeError, match="image shape"):
         enc.encode_image(np.zeros((2, 8, 16, 16, 3)))
+
+
+# tiles a graph-free image batch falls into: two full ones and a partial one
+TILED_IMAGES = 2 * IMAGE_TILE + 3
+# nodes one recording `image_embedding` call of the small model makes, for
+# any batch size: the backbone is frozen, prompts and adapters require grad
+RECORDED_IMAGE_NODES = {(False, True): 5, (True, False): 59, (True, True): 64}
+
+
+@pytest.mark.parametrize("prompts,adapters", COMBOS)
+def test_graph_free_image_tiles_equal_one_pass_rows(prompts, adapters, monkeypatch):
+    model = _model(prompts, adapters)
+    images, _ = _inputs(model, n_images=TILED_IMAGES)
+    with ad.no_grad():
+        rows = model.image_embedding(images).data
+        per_tile = np.concatenate([model.image_embedding(images[i:i + IMAGE_TILE]).data
+                                   for i in range(0, TILED_IMAGES, IMAGE_TILE)])
+        per_example = np.stack([model.image_embedding(x).data for x in images])
+        monkeypatch.setattr(encoders, "IMAGE_TILE", TILED_IMAGES)
+        one_pass = model.image_embedding(images).data
+    assert rows.shape == (TILED_IMAGES, 8)
+    assert np.array_equal(rows, one_pass)
+    assert np.array_equal(rows, per_tile)
+    # a batch of one takes other BLAS kernels, so its rows agree to rounding
+    assert np.abs(rows - per_example).max() <= TOL
+
+
+@pytest.mark.parametrize("prompts,adapters", [c for c in COMBOS if any(c)])
+def test_recording_image_call_is_one_graph(prompts, adapters):
+    model = _model(prompts, adapters)
+    images, _ = _inputs(model, n_images=TILED_IMAGES)
+    nodes, recorded = [], []
+    for batch in (images, images[:3]):
+        before = ad._seq_counter
+        recorded.append(model.image_embedding(batch))
+        nodes.append(ad._seq_counter - before)
+    assert nodes == [RECORDED_IMAGE_NODES[(prompts, adapters)]] * 2
+    assert all(e.requires_grad for e in recorded)
+    with ad.no_grad():
+        assert np.array_equal(recorded[0].data, model.image_embedding(images).data)
+
+
+def test_graph_free_image_peak_memory_is_one_tile():
+    enc = _model(False, False).backbone
+    images, _ = _inputs(_model(False, False), n_images=4 * IMAGE_TILE)
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                enc.encode_image(batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(images) < 1.5 * peak(images[:IMAGE_TILE])

@@ -341,6 +341,23 @@ def test_sweep_lambda_axis(rig, tmp_path):
     assert {r["row"] for r in results} == {"0.1", "8.0"}
 
 
+@pytest.mark.parametrize("command,setting", [
+    ("sweep", {"axis": "seed", "values": [1, 2]}),
+    ("sweep", {"axis": "lambda", "values": [8.0], "train": dict(TINY_TRAIN, seed=1)}),
+    ("ablate", {"axes": ["lambda"], "train": dict(TINY_TRAIN, seed=1)}),
+])
+def test_seed_outside_seeds_exits_2(rig, tmp_path, capsys, command, setting):
+    root, suite_dir, bb_dir = rig
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.json", dict({
+        "backbone": str(bb_dir), "dataset": str(suite_dir / "fields_a"),
+        "out": str(out), "seeds": [0], "train": TINY_TRAIN}, **setting))
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and '"seeds"' in err[0]
+    assert not out.exists()
+
+
 def test_threads_env_respected(rig, tmp_path, monkeypatch):
     monkeypatch.setenv("COPROMPT_THREADS", "2")
     root, suite_dir, bb_dir = rig
