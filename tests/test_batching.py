@@ -175,8 +175,9 @@ def test_recording_image_call_is_one_graph(prompts, adapters):
 
 
 def test_graph_free_image_peak_memory_is_one_tile():
-    enc = _model(False, False).backbone
-    images, _ = _inputs(_model(False, False), n_images=4 * IMAGE_TILE)
+    model = _model(False, False)
+    enc = model.backbone
+    images, _ = _inputs(model, n_images=4 * IMAGE_TILE)
 
     def peak(batch):
         tracemalloc.start()
