@@ -1,11 +1,10 @@
 """Paired benchmark runs of two commits, written as one BENCH JSON file.
 
-    python3 bench_pairs.py --parent SHA [--change HEAD] [--pairs 10] \
-        [--workloads pretrain,finetune,eval] [--seconds 30] --out BENCH_<n>.json
+    python3 bench_pairs.py --parent SHA --out BENCH_<n>.json
 
-Both commits are extracted with `git archive` into a temporary directory;
+The change is HEAD. Both commits are extracted with `git archive` into a temporary directory;
 the working tree and the git metadata are left alone. Pair i runs
-`perfbench/run.py --workload W --seed <11 + i> --seconds S --trace 0` once
+`perfbench/run.py --workload W --seed <11 + i> --seconds 30 --trace 0` once
 per side, and the side that goes first alternates. Per workload and
 end-to-end metric the file holds both sides' values, median, q1 and q3 and
 the pairs the change won or tied (direction from BENCHMARK.json); one
@@ -23,6 +22,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
 FIRST_SEED = 11
+PAIRS = 10
+SECONDS = 30
+WORKLOADS = ("pretrain", "finetune", "eval")
 SIDES = ("parent", "change")
 
 
@@ -37,10 +39,10 @@ def extract(rev, dest):
     return sha
 
 
-def bench(tree, workload, seed, seconds, trace):
+def bench(tree, workload, seed, trace):
     """(report lines, last-line JSON) of one perfbench run in `tree`."""
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(seconds),
+                          "--seed", str(seed), "--seconds", str(SECONDS),
                           "--trace", str(trace)],
                          cwd=tree, capture_output=True, text=True, timeout=3600)
     lines = out.stdout.strip().splitlines()
@@ -57,30 +59,25 @@ def summary(values):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True)
-    ap.add_argument("--change", default="HEAD")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workloads", default="pretrain,finetune,eval")
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2 (quartiles need two values)")
+    revs = {"parent": args.parent, "change": "HEAD"}
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
-        result = {"shas": {side: extract(getattr(args, side), trees[side]) for side in SIDES},
-                  "pairs": args.pairs, "seconds": args.seconds,
+        result = {"shas": {side: extract(revs[side], trees[side]) for side in SIDES},
+                  "pairs": PAIRS, "seconds": SECONDS,
                   "src_loc": {side: sum(len(p.read_text().splitlines())
                                         for p in (trees[side] / "src").rglob("*.py"))
                               for side in SIDES},
                   "workloads": {}, "per_layer_seed1": {}}
-        for workload in args.workloads.split(","):
+        for workload in WORKLOADS:
             runs = {side: [] for side in SIDES}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    lines, last = bench(trees[side], workload, FIRST_SEED + i, args.seconds, 0)
+                    lines, last = bench(trees[side], workload, FIRST_SEED + i, 0)
                     env = json.loads(next(x[4:] for x in lines if x.startswith("env ")))
                     result["env"] = {k: env[k] for k in ("nproc", "numpy", "blas_threads")}
                     runs[side].append(last)
@@ -98,7 +95,7 @@ def main(argv=None):
             result["workloads"][workload] = metrics
             result["per_layer_seed1"][workload] = {
                 side: {name: m["value"] for name, m in
-                       bench(trees[side], workload, 1, args.seconds, 1)[1]["metrics"].items()
+                       bench(trees[side], workload, 1, 1)[1]["metrics"].items()
                        if m["unit"] == "count"} for side in SIDES}
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
 

@@ -34,8 +34,7 @@ TAU_INIT = 0.5
 WARMUP_STEPS = 30
 TAU_LR_SCALE = 0.05
 CLIP_NORM = 1.0
-
-IMAGE_TILE = 32  # images per graph-free pass: small temporaries are reused, not re-faulted
+IMAGE_TILE = 32  # most images per graph-free pass: smaller peak temporaries
 
 
 class VocabularyError(ValueError):
@@ -335,9 +334,7 @@ class DualEncoder:
         One (image_size, image_size, channels) array gives an (embed_dim,)
         embedding; a (B, image_size, image_size, channels) batch gives
         (B, embed_dim) rows. `prompts` is a list of per-layer (m, width)
-        vision prompt tensors, injected as in `encode_text`. A call that
-        records no graph runs in tiles of `IMAGE_TILE` images; its rows equal
-        the one-pass rows exactly.
+        vision prompt tensors, injected as in `encode_text`.
         """
         cfg = self.config
         imgs = np.asarray(images)
@@ -350,16 +347,13 @@ class DualEncoder:
             imgs = imgs[None]
         if imgs.shape[0] == 0:
             raise ShapeError("encode_image: empty batch")
-        if len(imgs) <= IMAGE_TILE or ad.records([*self.weights.values(), *(prompts or ())]):
-            e = self._encode_image_tile(imgs, prompts)
-        else:
-            tiles = [self._encode_image_tile(imgs[i:i + IMAGE_TILE], prompts).data
-                     for i in range(0, len(imgs), IMAGE_TILE)]
-            e = Tensor(np.concatenate(tiles))
+        # near-equal tiles: a tile of one image would take other BLAS kernels
+        n = 1 if ad.records([*self.weights.values(), *(prompts or ())]) else -(-len(imgs) // IMAGE_TILE)
+        rows = [self._encode_image_tile(t, prompts) for t in np.array_split(imgs, n)]
+        e = rows[0] if n == 1 else Tensor(np.concatenate([r.data for r in rows]))
         return ad.reshape(e, (cfg.embed_dim,)) if single else e
 
     def _encode_image_tile(self, imgs, prompts):
-        """(B, H, W, C) images -> (B, embed_dim) embeddings in one pass."""
         cfg = self.config
         w = self.weights
         patches = Tensor(patchify(imgs, cfg.patch_grid))

@@ -134,25 +134,27 @@ def test_empty_batches_and_bad_shapes_raise():
         enc.encode_image(np.zeros((2, 8, 16, 16, 3)))
 
 
-# tiles a graph-free image batch falls into: two full ones and a partial one
+# tiles a graph-free image batch falls into: three near-equal ones
 TILED_IMAGES = 2 * IMAGE_TILE + 3
 # nodes one recording `image_embedding` call of the small model makes, for
 # any batch size: the backbone is frozen, prompts and adapters require grad
 RECORDED_IMAGE_NODES = {(False, True): 5, (True, False): 59, (True, True): 64}
 
 
+# 2N + 1 images would leave a last tile of one image in fixed-size tiles
+@pytest.mark.parametrize("n_images", [TILED_IMAGES, 2 * IMAGE_TILE + 1])
 @pytest.mark.parametrize("prompts,adapters", COMBOS)
-def test_graph_free_image_tiles_equal_one_pass_rows(prompts, adapters, monkeypatch):
+def test_graph_free_image_tiles_equal_one_pass_rows(prompts, adapters, n_images, monkeypatch):
     model = _model(prompts, adapters)
-    images, _ = _inputs(model, n_images=TILED_IMAGES)
+    images, _ = _inputs(model, n_images=n_images)
     with ad.no_grad():
         rows = model.image_embedding(images).data
-        per_tile = np.concatenate([model.image_embedding(images[i:i + IMAGE_TILE]).data
-                                   for i in range(0, TILED_IMAGES, IMAGE_TILE)])
+        per_tile = np.concatenate([model.image_embedding(t).data
+                                   for t in np.array_split(images, 3)])
         per_example = np.stack([model.image_embedding(x).data for x in images])
-        monkeypatch.setattr(encoders, "IMAGE_TILE", TILED_IMAGES)
+        monkeypatch.setattr(encoders, "IMAGE_TILE", n_images)
         one_pass = model.image_embedding(images).data
-    assert rows.shape == (TILED_IMAGES, 8)
+    assert rows.shape == (n_images, 8)
     assert np.array_equal(rows, one_pass)
     assert np.array_equal(rows, per_tile)
     # a batch of one takes other BLAS kernels, so its rows agree to rounding
