@@ -135,21 +135,6 @@ class Tensor:
     def transpose(self, axes):
         return transpose(self, axes)
 
-    def relu(self):
-        return relu(self)
-
-    def gelu(self):
-        return gelu(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def softmax(self, axis=-1):
-        return softmax(self, axis=axis)
-
 
 def _wrap(value):
     return value if isinstance(value, Tensor) else Tensor(value)

@@ -9,13 +9,20 @@ A checkpoint is a directory of tensor files plus a JSON manifest: the
 caller's metadata (with its `kind`), each tensor's shape and sha256, and a
 content hash over the metadata and the tensor hashes. `read_checkpoint`
 verifies all of it before handing anything back.
+
+Every config and manifest is a `Record`: a dataclass read from and written
+to a JSON object through its own fields and annotations.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import os
+import types
+import typing
 
 import numpy as np
 
@@ -87,6 +94,73 @@ def read_json(path):
         raise CheckpointError(f"missing file: {path}")
     with open(path) as f:
         return json.load(f)
+
+
+class Record:
+    """Base of a dataclass read from and written to a JSON object.
+
+    A key is a field name less one trailing `_` (`lambda_` is "lambda");
+    the class attribute `what` names the record in messages. `from_dict`
+    refuses (ValueError) an unknown key, a missing key with no default, and
+    a value whose JSON type does not match the annotation: an int passes
+    for a float, a bool never for a number. It recurses into records,
+    `list[T]` and `T | None`, naming nested keys by dotted path, and
+    converts nothing: `to_dict` returns what was read plus defaults.
+    """
+
+    what = "record"
+
+    def to_dict(self):
+        return {key: _dump(getattr(self, f.name)) for key, f, _ in _schema(type(self))}
+
+    @classmethod
+    def from_dict(cls, d, path=""):
+        if not isinstance(d, dict):
+            raise ValueError(f"{cls.what} must be an object, got {d!r}")
+        schema = _schema(cls)
+        unknown = set(d) - {key for key, _, _ in schema}
+        if unknown:
+            raise ValueError(f"unknown {cls.what} keys: {sorted(path + k for k in unknown)}")
+        values = {}
+        for key, f, hint in schema:
+            if key in d:
+                values[f.name] = _load(hint, d[key], path + key, cls.what)
+            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ValueError(f"{cls.what} requires {path + key!r}")
+        return cls(**values)
+
+
+@functools.cache
+def _schema(cls):
+    """(key, field, resolved annotation) of every field of a record class."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name.removesuffix("_"), f, hints[f.name]) for f in dataclasses.fields(cls))
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "true or false"}
+
+
+def _load(hint, value, path, what):
+    """`value` checked against the annotation `hint`; nested records are built."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # written `T | None`
+        return None if value is None else _load(args[0], value, path, what)
+    if isinstance(hint, type) and issubclass(hint, Record):
+        return hint.from_dict(value, path + ".")
+    json_type = origin or hint
+    if (not isinstance(value, (int, float) if json_type is float else json_type)
+            or isinstance(value, bool) and json_type is not bool):
+        raise ValueError(f"{what}: {path!r} must be {_JSON_TYPES[json_type]}, got {value!r}")
+    if origin is list:
+        return [_load(args[0], v, f"{path}.{i}", what) for i, v in enumerate(value)]
+    return value
+
+
+def _dump(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    return [_dump(v) for v in value] if isinstance(value, list) else value
 
 
 def write_checkpoint(directory, meta, tensors, manifest="manifest.json", subdir="",

@@ -1,10 +1,11 @@
 """Operator surface: dataset generation, pre-training, fine-tuning,
 evaluation, and the ablation/sweep runners.
 
-Configs are strict JSON (unknown keys are errors), `--override key=value`
-patches dot-separated paths, and every run directory receives the fully
-resolved config it can be reproduced from. Exit codes: 0 success, 1
-internal numeric failure, 2 usage/config error.
+Each command's config is a `Record` (unknown keys, missing required keys and
+wrong-typed values are errors), `--override key=value` patches dot-separated
+paths, and every run directory receives the fully resolved config it can be
+reproduced from. Exit codes: 0 success, 1 internal numeric failure, 2
+usage/config error.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 
 from .autodiff import DomainError, GradError, ShapeError
-from .checkpoints import CheckpointError, read_json, write_json
+from .checkpoints import CheckpointError, Record, read_json, write_json
 from .consistency import DescriptionStore
 from .datasets import (
     Dataset,
@@ -80,9 +82,9 @@ def _apply_override(cfg, key, value):
     parts = key.split(".")
     node = cfg
     for p in parts[:-1]:
-        if p not in node or not isinstance(node[p], dict):
-            node[p] = {}
-        node = node[p]
+        node = node.setdefault(p, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"override {key!r} sets a key inside {p!r}, which is not an object")
     node[parts[-1]] = value
 
 
@@ -97,6 +99,8 @@ def load_config(path, args):
                 cfg = json.load(f)
             except json.JSONDecodeError as e:
                 raise ConfigError(f"config is not valid JSON: {e}") from None
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config must be a JSON object: {path}")
     for ov in args.override or []:
         key, value = _parse_override(ov)
         _apply_override(cfg, key, value)
@@ -105,18 +109,6 @@ def load_config(path, args):
     if args.out is not None:
         cfg["out"] = args.out
     return cfg
-
-
-def _check_keys(cfg, allowed, where):
-    unknown = set(cfg) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {where} config keys: {sorted(unknown)}")
-
-
-def _require(cfg, key, where):
-    if key not in cfg or cfg[key] is None:
-        raise ConfigError(f"{where} config requires {key!r}")
-    return cfg[key]
 
 
 def _require_dir(path, what):
@@ -138,32 +130,28 @@ def _worker_count(n_jobs):
 # gen-data
 
 
-GEN_DEFAULTS = {
-    "seed": 7,
-    "source_counts": [24, 4, 24],
-    "target_counts": [20, 4, 8],
-    "noise": 0.03,
-    "export_ppm": 0,
-}
+@dataclass
+class GenDataConfig(Record):
+    what = "gen-data config"
+    out: str
+    seed: int = 7
+    source_counts: list[int] = field(default_factory=lambda: [24, 4, 24])
+    target_counts: list[int] = field(default_factory=lambda: [20, 4, 8])
+    noise: float = 0.03
+    export_ppm: int = 0
 
 
 def cmd_gen_data(cfg):
-    _check_keys(cfg, {"out", *GEN_DEFAULTS}, "gen-data")
-    out = _require(cfg, "out", "gen-data")
-    merged = dict(GEN_DEFAULTS, **cfg)
+    cfg = GenDataConfig.from_dict(cfg)
     suite = build_default_suite(
-        out, seed=int(merged["seed"]),
-        source_counts=tuple(merged["source_counts"]),
-        target_counts=tuple(merged["target_counts"]),
-        noise=float(merged["noise"]))
-    resolved = dict(merged, out=out,
-                    datasets={name: ds.content_hash for name, ds in suite.items()})
-    _echo_config(out, resolved)
-    if int(merged["export_ppm"]) > 0:
+        cfg.out, seed=cfg.seed, source_counts=tuple(cfg.source_counts),
+        target_counts=tuple(cfg.target_counts), noise=float(cfg.noise))
+    _echo_config(cfg.out, dict(cfg.to_dict(), datasets={
+        name: ds.content_hash for name, ds in suite.items()}))
+    if cfg.export_ppm > 0:
         for name, ds in suite.items():
-            export_ppm(ds, os.path.join(out, "ppm", name),
-                       per_class=int(merged["export_ppm"]))
-    print(f"generated {len(suite)} datasets under {out}")
+            export_ppm(ds, os.path.join(cfg.out, "ppm", name), per_class=cfg.export_ppm)
+    print(f"generated {len(suite)} datasets under {cfg.out}")
     return 0
 
 
@@ -171,37 +159,33 @@ def cmd_gen_data(cfg):
 # pretrain
 
 
-PRETRAIN_DEFAULTS = {
-    "seed": 0,
-    "epochs": 14,
-    "lr": 0.05,
-    "batch_size": 32,
-    "momentum": 0.9,
-    "encoder": {},
-}
+@dataclass
+class PretrainConfig(Record):
+    what = "pretrain config"
+    datasets: list[str]
+    out: str
+    seed: int = 0
+    epochs: int = 14
+    lr: float = 0.05
+    batch_size: int = 32
+    momentum: float = 0.9
+    encoder: dict = field(default_factory=dict)  # EncoderConfig keys, echoed as given
 
 
 def cmd_pretrain(cfg):
-    _check_keys(cfg, {"datasets", "out", *PRETRAIN_DEFAULTS}, "pretrain")
-    paths = _require(cfg, "datasets", "pretrain")
-    out = _require(cfg, "out", "pretrain")
-    merged = dict(PRETRAIN_DEFAULTS, **cfg)
-    datasets = [Dataset.load(_require_dir(p, "dataset")) for p in paths]
+    cfg = PretrainConfig.from_dict(cfg)
+    enc_config = EncoderConfig.from_dict(cfg.encoder, "encoder.")
+    datasets = [Dataset.load(_require_dir(p, "dataset")) for p in cfg.datasets]
     tokenizer = Tokenizer.from_manifests([d.manifest for d in datasets])
-    enc_config = EncoderConfig.from_dict(merged["encoder"])
-    try:
-        split = build_pretrain_split(datasets, tokenizer)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    split = build_pretrain_split(datasets, tokenizer)
 
     start = time.time()
-    enc = DualEncoder(enc_config, tokenizer, seed=int(merged["seed"]))
+    enc = DualEncoder(enc_config, tokenizer, seed=cfg.seed)
     enc, history = contrastive_pretrain(
-        enc, split, epochs=int(merged["epochs"]), lr=float(merged["lr"]),
-        batch_size=int(merged["batch_size"]), momentum=float(merged["momentum"]),
-        seed=int(merged["seed"]))
+        enc, split, epochs=cfg.epochs, lr=float(cfg.lr), batch_size=cfg.batch_size,
+        momentum=float(cfg.momentum), seed=cfg.seed)
     enc.set_frozen(True)
-    chash = save_backbone(out, enc)
+    chash = save_backbone(cfg.out, enc)
     metrics = {
         "steps": len(history["loss"]),
         "final_loss": history["loss"][-1],
@@ -211,15 +195,14 @@ def cmd_pretrain(cfg):
         "runtime_seconds": time.time() - start,
         "content_hash": chash,
     }
-    write_json(os.path.join(out, "pretrain_metrics.json"), metrics)
-    with open(os.path.join(out, "pretrain_loss.csv"), "w") as f:
+    write_json(os.path.join(cfg.out, "pretrain_metrics.json"), metrics)
+    with open(os.path.join(cfg.out, "pretrain_loss.csv"), "w") as f:
         f.write("step,loss\n")
         for i, v in enumerate(history["loss"]):
             f.write(f"{i + 1},{v!r}\n")
-    resolved = dict(merged, datasets=list(paths), out=out,
-                    dataset_hashes=[d.content_hash for d in datasets])
-    _echo_config(out, resolved)
-    print(f"backbone {chash[:12]} written to {out} "
+    _echo_config(cfg.out, dict(cfg.to_dict(),
+                               dataset_hashes=[d.content_hash for d in datasets]))
+    print(f"backbone {chash[:12]} written to {cfg.out} "
           f"({metrics['runtime_seconds']:.0f}s, retrieval "
           f"{metrics['retrieval_accuracy']})")
     return 0
@@ -229,27 +212,27 @@ def cmd_pretrain(cfg):
 # finetune
 
 
+@dataclass
+class FinetuneConfig(Record):
+    what = "finetune config"
+    backbone: str
+    dataset: str
+    out: str
+    train: TrainConfig = field(default_factory=TrainConfig)
+    max_steps: int | None = None
+
+
 def cmd_finetune(cfg):
-    _check_keys(cfg, {"backbone", "dataset", "out", "train", "max_steps"}, "finetune")
-    bb_dir = _require_dir(_require(cfg, "backbone", "finetune"), "backbone")
-    ds_dir = _require_dir(_require(cfg, "dataset", "finetune"), "dataset")
-    out = _require(cfg, "out", "finetune")
-    try:
-        train_cfg = TrainConfig.from_dict(cfg.get("train", {}))
-        max_steps = check_max_steps(cfg.get("max_steps"))
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    backbone = load_backbone(bb_dir)
-    dataset = Dataset.load(ds_dir)
-    split = make_fewshot_split(dataset, train_cfg.shots, train_cfg.seed)
-    result = finetune(backbone, train_cfg, split, out_dir=out,
-                      max_steps=max_steps, backbone_ref=bb_dir)
-    resolved = {"backbone": bb_dir, "dataset": ds_dir, "out": out,
-                "train": train_cfg.to_dict(), "max_steps": max_steps,
-                "backbone_hash": backbone_hash(bb_dir),
-                "dataset_hash": dataset.content_hash}
-    _echo_config(out, resolved)
-    print(f"finetune checkpoint {result.content_hash[:12]} written to {out} "
+    cfg = FinetuneConfig.from_dict(cfg)
+    max_steps = check_max_steps(cfg.max_steps)
+    backbone = load_backbone(_require_dir(cfg.backbone, "backbone"))
+    dataset = Dataset.load(_require_dir(cfg.dataset, "dataset"))
+    split = make_fewshot_split(dataset, cfg.train.shots, cfg.train.seed)
+    result = finetune(backbone, cfg.train, split, out_dir=cfg.out,
+                      max_steps=max_steps, backbone_ref=cfg.backbone)
+    _echo_config(cfg.out, dict(cfg.to_dict(), backbone_hash=backbone_hash(cfg.backbone),
+                               dataset_hash=dataset.content_hash))
+    print(f"finetune checkpoint {result.content_hash[:12]} written to {cfg.out} "
           f"(final ce {result.metrics['final_train_ce']:.4f})")
     return 0
 
@@ -262,23 +245,37 @@ def _load_model(checkpoint_dir, backbone_dir=None):
     """Accepts a backbone dir or a finetune checkpoint dir."""
     if os.path.exists(os.path.join(checkpoint_dir, "manifest.json")):
         return load_backbone(checkpoint_dir), None, None
-    model, train_cfg, manifest = load_finetune_checkpoint(
-        checkpoint_dir, backbone_dir=backbone_dir)
-    return model, train_cfg, manifest
+    return load_finetune_checkpoint(checkpoint_dir, backbone_dir=backbone_dir)
 
 
-def cmd_eval(cfg):
-    allowed = {"checkpoint", "backbone", "protocol", "dataset", "targets",
-               "variants", "out"}
-    _check_keys(cfg, allowed, "eval")
-    ckpt = _require_dir(_require(cfg, "checkpoint", "eval"), "checkpoint")
-    protocol = _require(cfg, "protocol", "eval")
-    out = _require(cfg, "out", "eval")
-    model, train_cfg, manifest = _load_model(ckpt, cfg.get("backbone"))
+@dataclass
+class EvalConfig(Record):
+    what = "eval config"
+    checkpoint: str
+    protocol: str
+    out: str
+    backbone: str | None = None
+    dataset: str | None = None
+    targets: list[str] | None = None
+    variants: list[str] | None = None
 
-    resolved = dict(cfg)
+
+def _eval_needs(cfg, key):
+    """The value of an eval config key that the chosen protocol requires."""
+    value = getattr(cfg, key)
+    if value is None:
+        raise ConfigError(f"eval config requires {key!r}")
+    return value
+
+
+def cmd_eval(raw):
+    cfg = EvalConfig.from_dict(raw)
+    ckpt = _require_dir(cfg.checkpoint, "checkpoint")
+    protocol, out = cfg.protocol, cfg.out
+    model, train_cfg, manifest = _load_model(ckpt, cfg.backbone)
+
     if protocol == "base_to_novel":
-        ds = Dataset.load(_require_dir(_require(cfg, "dataset", "eval"), "dataset"))
+        ds = Dataset.load(_require_dir(_eval_needs(cfg, "dataset"), "dataset"))
         report = base_to_novel_eval(model, ds, fingerprint=ckpt)
         write_eval_outputs(out, "base_to_novel",
                            [[report.base_acc, report.novel_acc, report.hm]],
@@ -286,9 +283,9 @@ def cmd_eval(cfg):
         write_json(os.path.join(out, "report.json"), report.to_dict())
         print(f"base={report.base_acc:.2f} novel={report.novel_acc:.2f} hm={report.hm:.2f}")
     elif protocol == "cross_dataset":
-        ds = Dataset.load(_require_dir(_require(cfg, "dataset", "eval"), "dataset"))
+        ds = Dataset.load(_require_dir(_eval_needs(cfg, "dataset"), "dataset"))
         targets = [Dataset.load(_require_dir(p, "target dataset"))
-                   for p in _require(cfg, "targets", "eval")]
+                   for p in _eval_needs(cfg, "targets")]
         source_ids = [c.id for c in ds.manifest.classes]
         from .evaluation import _pool_accuracy
         source_acc, _ = _pool_accuracy(model, ds, source_ids)
@@ -302,7 +299,7 @@ def cmd_eval(cfg):
         print(f"cross-dataset average={table.get('average')}")
     elif protocol == "domain_gen":
         variants = [Dataset.load(_require_dir(p, "variant dataset"))
-                    for p in _require(cfg, "variants", "eval")]
+                    for p in _eval_needs(cfg, "variants")]
         table = domain_gen_eval(model, variants)
         header = [name for name, _ in table["rows"]] + ["average"]
         row = [acc for _, acc in table["rows"]] + [table.get("average", "")]
@@ -312,7 +309,7 @@ def cmd_eval(cfg):
     elif protocol == "train_ce":
         if train_cfg is None:
             raise ConfigError("train_ce protocol requires a finetune checkpoint")
-        ds = Dataset.load(_require_dir(_require(cfg, "dataset", "eval"), "dataset"))
+        ds = Dataset.load(_require_dir(_eval_needs(cfg, "dataset"), "dataset"))
         if ds.content_hash != manifest["dataset_hash"]:
             raise CheckpointError("dataset hash does not match the checkpoint")
         split = make_fewshot_split(ds, train_cfg.shots, train_cfg.seed)
@@ -329,7 +326,7 @@ def cmd_eval(cfg):
         print(f"recomputed ce={measured['final_train_ce']!r} recorded={recorded['ce']!r}")
     else:
         raise ConfigError(f"unknown eval protocol {protocol!r}")
-    _echo_config(out, resolved)
+    _echo_config(out, raw)
     return 0
 
 
@@ -453,7 +450,7 @@ def _run_axes(bb_dir, ds_dir, out, base_train, seeds, axes):
             if "seed" in train:
                 raise ConfigError('train.seed is set per run by "seeds"; list the seeds '
                                   'there, not in "train" or as a sweep axis')
-            TrainConfig.from_dict(train)
+            TrainConfig.from_dict(train, "train.")
             for seed in seeds:
                 jobs.append({
                     "backbone": bb_dir, "dataset": ds_dir, "train": train,
@@ -467,52 +464,61 @@ def _run_axes(bb_dir, ds_dir, out, base_train, seeds, axes):
     return results
 
 
+@dataclass
+class AblateConfig(Record):
+    what = "ablate config"
+    backbone: str
+    dataset: str
+    out: str
+    seeds: list[int] = field(default_factory=lambda: [0])
+    axes: list[str] = field(default_factory=lambda: list(ABLATE_DEFAULT_AXES))
+    # a plain dict: each row patches it by dotted path before it is read as
+    # a TrainConfig, and a seed set in it is refused
+    train: dict = field(default_factory=dict)
+
+
 def cmd_ablate(cfg):
-    allowed = {"backbone", "dataset", "out", "seeds", "axes", "train"}
-    _check_keys(cfg, allowed, "ablate")
-    bb_dir = _require_dir(_require(cfg, "backbone", "ablate"), "backbone")
-    ds_dir = _require_dir(_require(cfg, "dataset", "ablate"), "dataset")
-    out = _require(cfg, "out", "ablate")
-    seeds = cfg.get("seeds", [0])
-    axes = cfg.get("axes", ABLATE_DEFAULT_AXES)
-    base_train = cfg.get("train", {})
-    TrainConfig.from_dict(base_train)  # validate early
+    cfg = AblateConfig.from_dict(cfg)
+    bb_dir = _require_dir(cfg.backbone, "backbone")
+    ds_dir = _require_dir(cfg.dataset, "dataset")
+    TrainConfig.from_dict(cfg.train, "train.")  # validate early
 
     layers = EncoderConfig.from_dict(
         read_json(os.path.join(bb_dir, "manifest.json"))["config"]).layers
-    for axis in axes:
+    for axis in cfg.axes:
         if axis not in ABLATION_AXES:
             raise ConfigError(f"unknown ablation axis {axis!r}")
-    results = _run_axes(bb_dir, ds_dir, out, base_train, seeds, [
+    results = _run_axes(bb_dir, ds_dir, cfg.out, cfg.train, cfg.seeds, [
         (axis, ABLATION_AXES[axis] or _rows("prompt_depth", range(1, layers + 1)),
-         os.path.join(out, "rows", axis)) for axis in axes])
-    write_json(os.path.join(out, "results.json"),
+         os.path.join(cfg.out, "rows", axis)) for axis in cfg.axes])
+    write_json(os.path.join(cfg.out, "results.json"),
                {"results": results, "component_aliases": COMPONENT_ALIASES})
-    _echo_config(out, {"backbone": bb_dir, "dataset": ds_dir, "out": out,
-                       "seeds": seeds, "axes": axes, "train": base_train,
-                       "backbone_hash": backbone_hash(bb_dir)})
-    print(f"ablation complete: {len(results)} runs across {len(axes)} axes -> {out}")
+    _echo_config(cfg.out, dict(cfg.to_dict(), backbone_hash=backbone_hash(bb_dir)))
+    print(f"ablation complete: {len(results)} runs across {len(cfg.axes)} axes -> {cfg.out}")
     return 0
 
 
-def cmd_sweep(cfg):
-    allowed = {"backbone", "dataset", "out", "seeds", "axis", "values", "train"}
-    _check_keys(cfg, allowed, "sweep")
-    bb_dir = _require_dir(_require(cfg, "backbone", "sweep"), "backbone")
-    ds_dir = _require_dir(_require(cfg, "dataset", "sweep"), "dataset")
-    out = _require(cfg, "out", "sweep")
-    axis = _require(cfg, "axis", "sweep")
-    values = _require(cfg, "values", "sweep")
-    seeds = cfg.get("seeds", [0])
-    base_train = cfg.get("train", {})
+@dataclass
+class SweepConfig(Record):
+    what = "sweep config"
+    backbone: str
+    dataset: str
+    out: str
+    axis: str
+    values: list
+    seeds: list[int] = field(default_factory=lambda: [0])
+    train: dict = field(default_factory=dict)
 
-    results = _run_axes(bb_dir, ds_dir, out, base_train, seeds,
-                        [(axis, _rows(axis, values), os.path.join(out, "rows"))])
-    write_json(os.path.join(out, "results.json"), {"results": results})
-    _echo_config(out, {"backbone": bb_dir, "dataset": ds_dir, "out": out,
-                       "seeds": seeds, "axis": axis, "values": values,
-                       "train": base_train})
-    print(f"sweep complete: {len(results)} runs -> {out}")
+
+def cmd_sweep(cfg):
+    cfg = SweepConfig.from_dict(cfg)
+    bb_dir = _require_dir(cfg.backbone, "backbone")
+    ds_dir = _require_dir(cfg.dataset, "dataset")
+    results = _run_axes(bb_dir, ds_dir, cfg.out, cfg.train, cfg.seeds,
+                        [(cfg.axis, _rows(cfg.axis, cfg.values), os.path.join(cfg.out, "rows"))])
+    write_json(os.path.join(cfg.out, "results.json"), {"results": results})
+    _echo_config(cfg.out, cfg.to_dict())
+    print(f"sweep complete: {len(results)} runs -> {cfg.out}")
     return 0
 
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .datasets import TEMPLATE_PROMPT
+from .checkpoints import Record
+from .encoders import template_tokens
 
 CRITERIA = ("cosine", "l1", "mse")
 MODALITIES = ("text_only", "image_only", "both")
@@ -24,7 +25,8 @@ IMAGE_MODES = ("none", "simple", "hard")
 
 
 @dataclass
-class ConsistencyConfig:
+class ConsistencyConfig(Record):
+    what = "consistency config"
     criterion: str = "cosine"
     modality: str = "both"
     perturb_text: bool = True
@@ -39,19 +41,6 @@ class ConsistencyConfig:
         if self.perturb_image not in IMAGE_MODES:
             raise ValueError(
                 f"perturb_image must be one of {IMAGE_MODES}, got {self.perturb_image!r}")
-
-    def to_dict(self):
-        return {"criterion": self.criterion, "modality": self.modality,
-                "perturb_text": self.perturb_text, "perturb_image": self.perturb_image,
-                "enabled": self.enabled}
-
-    @staticmethod
-    def from_dict(d):
-        allowed = set(ConsistencyConfig.__dataclass_fields__)
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown consistency config keys: {sorted(unknown)}")
-        return ConsistencyConfig(**d)
 
 
 class DescriptionStore:
@@ -75,11 +64,7 @@ class DescriptionStore:
                     raise ValueError(
                         f"description for {name!r} has {len(t)} tokens > text_len {text_len}: {s!r}")
             self._tokens[name] = toks
-            # a class name outside the vocabulary would encode as <unk>, and
-            # every such class would share one template; descriptions may
-            # hold <unk> words, class names may not
-            tokenizer.encode(name, strict=True)
-            self._templates[name] = tokenizer.encode(TEMPLATE_PROMPT.format(name=name))
+            self._templates[name] = template_tokens(tokenizer, name)
 
     @staticmethod
     def from_manifest(manifest, tokenizer, text_len):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoints import canonical_json, read_json, sha256_hex, write_json
+from .checkpoints import Record, canonical_json, read_json, sha256_hex, write_json
 
 FORMAT_VERSION = 1
 MAGIC = b"CPDS"
@@ -57,40 +57,22 @@ class DatasetError(ValueError):
 
 
 @dataclass
-class ClassSpec:
+class ClassSpec(Record):
+    what = "dataset class"
     id: int
     name: str
     attributes: dict
-    descriptions: list
-
-    def to_dict(self):
-        return {
-            "id": self.id,
-            "name": self.name,
-            "attributes": dict(self.attributes),
-            "descriptions": list(self.descriptions),
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return ClassSpec(int(d["id"]), d["name"], dict(d["attributes"]), list(d["descriptions"]))
+    descriptions: list[str]
 
 
 @dataclass
-class SplitSpec:
-    base: list
-    novel: list
+class SplitSpec(Record):
+    what = "dataset split"
+    base: list[int]
+    novel: list[int]
     train: int
     val: int
     test: int
-
-    def to_dict(self):
-        return {"base": list(self.base), "novel": list(self.novel),
-                "train": self.train, "val": self.val, "test": self.test}
-
-    @staticmethod
-    def from_dict(d):
-        return SplitSpec(list(d["base"]), list(d["novel"]), int(d["train"]), int(d["val"]), int(d["test"]))
 
     @property
     def per_class(self):
@@ -98,9 +80,10 @@ class SplitSpec:
 
 
 @dataclass
-class DatasetManifest:
+class DatasetManifest(Record):
+    what = "dataset manifest"
     name: str
-    classes: list
+    classes: list[ClassSpec]
     split: SplitSpec
     seed: int
     noise: float
@@ -116,33 +99,6 @@ class DatasetManifest:
         for c in self.classes:
             if not c.descriptions:
                 raise DatasetError(f"class {c.name!r} has no descriptions")
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "classes": [c.to_dict() for c in self.classes],
-            "split": self.split.to_dict(),
-            "seed": self.seed,
-            "noise": self.noise,
-            "image_size": self.image_size,
-            "channels": self.channels,
-            "shift": self.shift,
-            "format_version": self.format_version,
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return DatasetManifest(
-            name=d["name"],
-            classes=[ClassSpec.from_dict(c) for c in d["classes"]],
-            split=SplitSpec.from_dict(d["split"]),
-            seed=int(d["seed"]),
-            noise=float(d["noise"]),
-            image_size=int(d["image_size"]),
-            channels=int(d["channels"]),
-            shift=dict(d.get("shift", {})),
-            format_version=int(d.get("format_version", FORMAT_VERSION)),
-        )
 
     @property
     def class_names(self):
@@ -263,7 +219,11 @@ class Dataset:
 
     @staticmethod
     def load(directory):
-        manifest = DatasetManifest.from_dict(read_json(os.path.join(directory, "manifest.json")))
+        path = os.path.join(directory, "manifest.json")
+        try:
+            manifest = DatasetManifest.from_dict(read_json(path))
+        except ValueError as e:
+            raise DatasetError(f"{path}: {e}") from None
         records = _read_records(os.path.join(directory, "images.bin"),
                                 manifest.image_size, manifest.channels)
         return Dataset(manifest, records, directory)

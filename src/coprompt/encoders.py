@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ShapeError
-from .checkpoints import read_checkpoint, read_json, write_checkpoint
+from .checkpoints import Record, read_checkpoint, read_json, write_checkpoint
 from .datasets import TEMPLATE_PROMPT
 
 PAD_ID, SOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
@@ -95,8 +95,17 @@ class Tokenizer:
         return tok
 
 
+def template_tokens(tokenizer, name):
+    """Token ids of the class template sentence. The class name must be in
+    the vocabulary: as <unk>, every such class would share one template.
+    The template's other words may be <unk>."""
+    tokenizer.encode(name, strict=True)
+    return tokenizer.encode(TEMPLATE_PROMPT.format(name=name))
+
+
 @dataclass(frozen=True)
-class EncoderConfig:
+class EncoderConfig(Record):
+    what = "encoder config"
     layers: int = 4
     width: int = 64
     heads: int = 4
@@ -121,14 +130,6 @@ class EncoderConfig:
     def patch_dim(self):
         side = self.image_size // self.patch_grid
         return side * side * self.channels
-
-    @staticmethod
-    def from_dict(d):
-        allowed = set(EncoderConfig.__dataclass_fields__)
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown encoder config keys: {sorted(unknown)}")
-        return EncoderConfig(**d)
 
 
 def patchify(images, grid):
@@ -395,7 +396,7 @@ def build_pretrain_split(datasets, tokenizer):
         for cls in ds.manifest.classes:
             key = (ds.manifest.name, cls.id)
             class_index[key] = len(templates)
-            template = tuple(tokenizer.encode(TEMPLATE_PROMPT.format(name=cls.name)))
+            template = tuple(template_tokens(tokenizer, cls.name))
             templates.append(template)
             captions = [template] + [tuple(tokenizer.encode(d)) for d in cls.descriptions]
             for idx in ds.pool_indices(cls.id, "train"):
@@ -528,7 +529,7 @@ def save_backbone(directory, enc: DualEncoder):
     meta = {
         "kind": "backbone",
         "format_version": 1,
-        "config": asdict(enc.config),
+        "config": enc.config.to_dict(),
         "vocab": enc.tokenizer.to_dict(),
         "tau": tau_meta,
     }

@@ -16,25 +16,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .datasets import TEMPLATE_PROMPT, Dataset, DatasetError
-from .encoders import DualEncoder
+from .checkpoints import Record
+from .datasets import Dataset, DatasetError
+from .encoders import DualEncoder, template_tokens
 from .training import TunedModel
 from .tuning import PromptSet
 
 
 @dataclass
-class EvalReport:
+class EvalReport(Record):
+    what = "eval report"
     base_acc: float
     novel_acc: float
     hm: float
     per_class: dict = field(default_factory=dict)
     config_fingerprint: str = ""
     split_ids: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {"base_acc": self.base_acc, "novel_acc": self.novel_acc, "hm": self.hm,
-                "per_class": self.per_class, "config_fingerprint": self.config_fingerprint,
-                "split_ids": self.split_ids}
 
 
 def _as_model(model):
@@ -50,8 +47,7 @@ def _as_model(model):
 
 def _class_matrix(model, class_names):
     """(C, E) text embeddings of the class template sentences, one batch."""
-    tokens = [tuple(model.tokenizer.encode(TEMPLATE_PROMPT.format(name=name), strict=True))
-              for name in class_names]
+    tokens = [tuple(template_tokens(model.tokenizer, name)) for name in class_names]
     return model.text_embedding(tokens).data
 
 

@@ -26,6 +26,7 @@ from . import autodiff as ad
 from .autodiff import SGD
 from .checkpoints import (
     CheckpointError,
+    Record,
     canonical_json,
     read_checkpoint,
     write_checkpoint,
@@ -53,7 +54,8 @@ class NonFiniteLossError(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Record):
+    what = "train config"
     lambda_: float = 8.0
     lr: float = 0.035
     momentum: float = 0.9
@@ -75,41 +77,6 @@ class TrainConfig:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
-
-    def to_dict(self):
-        d = {
-            "lambda": self.lambda_,
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "shots": self.shots,
-            "seed": self.seed,
-            "consistency": self.consistency.to_dict(),
-            "prompt_m": self.prompt_m,
-            "prompt_depth": self.prompt_depth,
-            "adapter_modality": self.adapter_modality,
-            "adapter_layers": self.adapter_layers,
-            "detach_consistency": self.detach_consistency,
-        }
-        return d
-
-    @staticmethod
-    def from_dict(d):
-        d = dict(d)
-        allowed = {
-            "lambda", "lr", "momentum", "batch_size", "epochs", "shots", "seed",
-            "consistency", "prompt_m", "prompt_depth", "adapter_modality",
-            "adapter_layers", "detach_consistency",
-        }
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        if "lambda" in d:
-            d["lambda_"] = d.pop("lambda")
-        if "consistency" in d and not isinstance(d["consistency"], ConsistencyConfig):
-            d["consistency"] = ConsistencyConfig.from_dict(d["consistency"])
-        return TrainConfig(**d)
 
 
 # ---------------------------------------------------------------------------

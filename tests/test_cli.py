@@ -249,6 +249,60 @@ def test_corrupted_checkpoint_refuses_to_run(rig, tmp_path, capsys, corrupt, mes
     assert not (tmp_path / "ev" / "report.json").exists()
 
 
+def _drop_manifest_noise(m):
+    del m["noise"]
+
+
+def _manifest_split_train_as_string(m):
+    m["split"]["train"] = "6"
+
+
+@pytest.mark.parametrize("command, overrides, manifest_edit, named", [
+    ("finetune", ["train.lr=abc"], None, "train.lr"),
+    ("finetune", ["train.shots=2.5"], None, "train.shots"),
+    ("finetune", ["train.consistency=5"], None, "consistency config"),
+    ("finetune", ["train=7"], None, "train config"),
+    ("finetune", ["train=7", "train.shots=2"], None, "'train'"),
+    ("finetune", ["train.lambda=true"], None, "train.lambda"),
+    ("gen-data", ["source_counts=5"], None, "source_counts"),
+    ("eval", ["protocol=cross_dataset", "targets=5"], None, "targets"),
+    ("eval", ["protocol=domain_gen", "variants=5"], None, "variants"),
+    ("ablate", ["seeds=5"], None, "seeds"),
+    ("ablate", ["train=[1]"], None, "train"),
+    ("sweep", ["values=5"], None, "values"),
+    ("finetune", [], _drop_manifest_noise, "noise"),
+    ("finetune", [], _manifest_split_train_as_string, "split.train"),
+], ids=["train_lr_string", "train_shots_float", "train_consistency_int", "train_int",
+        "override_inside_train_int", "train_lambda_bool", "gen_data_source_counts_int",
+        "eval_targets_int", "eval_variants_int", "ablate_seeds_int", "ablate_train_list",
+        "sweep_values_int", "manifest_noise_missing", "manifest_split_train_string"])
+def test_malformed_input_exits_2(rig, tmp_path, capsys, command, overrides,
+                                 manifest_edit, named):
+    """Every unknown, missing or wrong-typed config or manifest value exits 2
+    with one `error:` line, before anything is written."""
+    root, suite_dir, bb_dir = rig
+    ds, out = tmp_path / "ds", tmp_path / "out"
+    shutil.copytree(suite_dir / "fields_a", ds)
+    if manifest_edit is not None:
+        _edit_json(ds / "manifest.json", manifest_edit)
+    runs = {"backbone": str(bb_dir), "dataset": str(ds), "out": str(out),
+            "train": TINY_TRAIN}
+    cfg = {"gen-data": {"out": str(out)},
+           "finetune": runs,
+           "eval": {"checkpoint": str(bb_dir), "protocol": "base_to_novel",
+                    "dataset": str(ds), "out": str(out)},
+           "ablate": dict(runs, axes=["lambda"]),
+           "sweep": dict(runs, axis="lambda", values=[1.0])}[command]
+    argv = [command, "--config", _write(tmp_path / "c.json", cfg)]
+    for override in overrides:
+        argv += ["--override", override]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+    assert not out.exists()
+
+
 def test_backbone_mismatch_refused(rig, tmp_path):
     root, suite_dir, bb_dir = rig
     ft_dir = tmp_path / "ft"
