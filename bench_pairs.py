@@ -8,12 +8,17 @@ the working tree and the git metadata are left alone. Pair i runs
 per side, and the side that goes first alternates. Per workload and
 end-to-end metric the file holds both sides' values, median, q1 and q3 and
 the pairs the change won or tied (direction from BENCHMARK.json); one
-`--trace 1` run at seed 1 per side adds the per-layer counts. Runs go one
-after another: anything else running on the host moves the numbers.
+`--trace 1` run at seed 1 per side adds the per-layer counts. Then, per
+side, a default CLI `gen-data` and a default CLI `pretrain` each run in a
+child process that reports its own wall seconds, max RSS and minor page
+faults (`e2e`), and the two backbone directories are compared byte for byte
+apart from `runtime_seconds`. Runs go one after another: anything else
+running on the host moves the numbers.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -49,6 +54,42 @@ def bench(tree, workload, seed, trace):
     if out.returncode != 0 or not lines:
         raise SystemExit(f"{tree.name} {workload} seed {seed} failed:\n{out.stderr}")
     return lines, json.loads(lines[-1])
+
+
+# one CLI command in this process, then its own cost; RUSAGE_CHILDREN in the
+# runner would report the largest earlier perfbench child instead
+CLI_CHILD = """import json, resource, sys, time
+from coprompt.cli import main
+start = time.perf_counter()
+rc = main(sys.argv[1:])
+wall = time.perf_counter() - start
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(json.dumps({"rc": rc, "wall_s": wall, "max_rss_mb": usage.ru_maxrss / 1024.0,
+                  "minflt": usage.ru_minflt}))
+"""
+FAMILIES = ("fields_a", "fields_b", "fields_c", "fields_d")
+
+
+def cli(tree, *argv):
+    """Wall seconds, max RSS and minor faults of one CLI command, run in `tree` at one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH="src", **{v: "1" for v in (
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+        "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")})
+    out = subprocess.run([sys.executable, "-c", CLI_CHILD, *argv], cwd=tree, env=env,
+                         capture_output=True, text=True, timeout=3600)
+    if out.returncode != 0:
+        raise SystemExit(f"{tree.name} {argv[0]} failed:\n{out.stderr}")
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def backbone_files(tree):
+    """The default CLI backbone's files by name, `runtime_seconds` left out."""
+    root = tree / "e2e" / "backbone"
+    files = {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    metrics = json.loads(files["pretrain_metrics.json"])
+    metrics.pop("runtime_seconds")
+    files["pretrain_metrics.json"] = metrics
+    return files
 
 
 def summary(values):
@@ -97,6 +138,13 @@ def main(argv=None):
                 side: {name: m["value"] for name, m in
                        bench(trees[side], workload, 1, 1)[1]["metrics"].items()
                        if m["unit"] == "count"} for side in SIDES}
+        datasets = json.dumps([f"e2e/suite/{f}" for f in FAMILIES])
+        result["e2e"] = {side: {
+            "gen-data": cli(trees[side], "gen-data", "--out", "e2e/suite"),
+            "pretrain": cli(trees[side], "pretrain", "--out", "e2e/backbone",
+                            "--override", f"datasets={datasets}")} for side in SIDES}
+        result["e2e"]["backbone_identical"] = (backbone_files(trees["parent"])
+                                              == backbone_files(trees["change"]))
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
 
 

@@ -4,6 +4,12 @@ A small CPU engine sized for desk-scale encoder experiments: every op is
 backed by numpy, gradients are exact enough to survive finite-difference
 checks at 1e-6 relative error, and graph recording is skipped entirely
 when no input requires gradients (so frozen/eval passes allocate nothing).
+
+`backward` leaves a gradient only on leaves (tensors created with
+`requires_grad=True`); an interior node's gradient is released as soon as
+its own backward has used it. A graph stays whole after a sweep and can be
+swept again, which adds to the leaves' gradients. The graph and its saved
+activations live as long as something refers to its output.
 """
 
 from __future__ import annotations
@@ -201,8 +207,17 @@ def backward(loss):
     Nodes are processed in reverse creation order (a canonical topological
     order), so gradient accumulation order for any shared subgraph does not
     depend on what else consumes it; detaching a zero-weighted branch leaves
-    the remaining trajectory bit-identical. Leaf gradients accumulate across
-    repeated calls; interior gradients are reset per call.
+    the remaining trajectory bit-identical.
+
+    Leaf gradients accumulate across repeated calls. Interior gradients are
+    released once consumed: a node's `.grad` is set to None as soon as its
+    backward has handed it on, so after the sweep only leaves hold one, and
+    the sweep's gradient memory is live only between a node's first
+    gradient and its own turn. The graph is left intact (each node keeps
+    its parents and the activations its backward reads), so it can be swept
+    again. The reset before the sweep is kept for a sweep that raised
+    partway (say, a `GradError` from a misshapen gradient): the interior
+    nodes it had handed a gradient but not yet reached still hold it.
     """
     if loss.data.size != 1:
         raise GradError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -229,8 +244,9 @@ def backward(loss):
         _accumulate(loss, np.ones_like(loss.data))
 
     for node in interior:
-        if node.grad is not None:
-            node._backward(node.grad)
+        g, node.grad = node.grad, None
+        if g is not None:
+            node._backward(g)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +475,13 @@ def relu(a):
 
 def gelu(a):
     a = _wrap(a)
-    cdf = a.data * _INV_SQRT2
+    # scipy's erf(x) is -erf(-x) bit for bit (-0.0 included), so erf runs on
+    # |x| and np.copysign restores the sign: the same values, without a
+    # branch per sign that mispredicts on zero-mean activations
+    cdf = np.abs(a.data)
+    cdf *= _INV_SQRT2
     erf(cdf, out=cdf)
+    np.copysign(cdf, a.data, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     data = a.data * cdf

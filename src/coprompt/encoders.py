@@ -430,6 +430,26 @@ def retrieval_accuracy(enc, examples, class_templates):
     return float(np.mean(predicted == [ex.class_index for ex in examples]))
 
 
+def _pretrain_step(enc, batch, captions, opt, opt_tau):
+    """One contrastive SGD step on `batch`; returns its loss as a float.
+
+    The step's graph is local to this call, so it is freed before the next
+    step's forward is built rather than living through it."""
+    log_tau = enc.weights["log_tau"]
+    img = enc.encode_image(np.stack([ex.pixels for ex in batch]))
+    txt = enc.encode_text(captions)
+    logits = ad.matmul(img, ad.transpose(txt, (1, 0))) / ad.exp(log_tau)
+    labels = np.arange(len(batch))
+    loss = 0.5 * (ad.cross_entropy_from_logits(logits, labels)
+                  + ad.cross_entropy_from_logits(ad.transpose(logits, (1, 0)), labels))
+    ad.backward(loss)
+    _clip_global_norm(opt.params + opt_tau.params, CLIP_NORM)
+    opt.step()
+    opt_tau.step()
+    log_tau.data = np.clip(log_tau.data, np.log(TAU_MIN), np.log(TAU_MAX))
+    return loss.item()
+
+
 def contrastive_pretrain(enc, split: PretrainSplit, epochs=6, lr=0.05,
                          batch_size=32, momentum=0.9, seed=0):
     """Train the dual encoder with a symmetric in-batch contrastive loss.
@@ -493,18 +513,7 @@ def contrastive_pretrain(enc, split: PretrainSplit, epochs=6, lr=0.05,
             members = by_class[class_ids[int(c)]]
             batch.append(members[int(rng.integers(len(members)))])
         captions = [ex.captions[int(rng.integers(len(ex.captions)))] for ex in batch]
-        img = enc.encode_image(np.stack([ex.pixels for ex in batch]))
-        txt = enc.encode_text(captions)
-        logits = ad.matmul(img, ad.transpose(txt, (1, 0))) / ad.exp(log_tau)
-        labels = np.arange(len(batch))
-        loss = 0.5 * (ad.cross_entropy_from_logits(logits, labels)
-                      + ad.cross_entropy_from_logits(ad.transpose(logits, (1, 0)), labels))
-        ad.backward(loss)
-        _clip_global_norm(params + [log_tau], CLIP_NORM)
-        opt.step()
-        opt_tau.step()
-        log_tau.data = np.clip(log_tau.data, np.log(TAU_MIN), np.log(TAU_MAX))
-        losses.append(loss.item())
+        losses.append(_pretrain_step(enc, batch, captions, opt, opt_tau))
 
     history = {"loss": losses, "tau": enc.tau}
     if split.heldout:

@@ -166,8 +166,91 @@ def test_gradients_take_the_layout_of_their_tensor():
     assert x.grad.flags.c_contiguous
     u = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     wide = ad.broadcast_to(u, (2, 3, 4))
+    # `wide` is interior, so its gradient is released once used: record the
+    # layout of the gradient its backward is handed
+    handed, inner = [], wide._backward
+    wide._backward = lambda g: (handed.append(g.strides), inner(g))
     backward((wide * Tensor(rng.normal(size=(2, 3, 4)))).sum())
-    assert wide.grad.strides == np.empty_like(wide.data).strides
+    assert handed == [np.empty_like(wide.data).strides]
+
+
+def _graph_nodes(loss):
+    nodes, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_keeps_only_leaf_gradients_and_the_graph():
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    h = ad.gelu(ad.matmul(x, w))
+    loss = (h * h).sum() + h.sum()  # h has two consumers
+    backward(loss)
+    nodes = _graph_nodes(loss)
+    interior = [n for n in nodes if n._parents]
+    leaves = [n for n in nodes if not n._parents and n.requires_grad]
+    assert len(interior) == 6 and all(n.grad is None for n in interior)
+    assert {id(n) for n in leaves} == {id(x), id(w)}
+    assert all(n.grad is not None for n in leaves)
+    # the graph survives the sweep: a second one adds the same gradients
+    first = [x.grad.copy(), w.grad.copy()]
+    backward(loss)
+    assert np.array_equal(x.grad, 2 * first[0]) and np.array_equal(w.grad, 2 * first[1])
+    assert all(n.grad is None for n in interior)
+
+
+def test_a_sweep_that_raised_leaves_no_stale_gradient():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    failures = [GradError("misshapen gradient")]
+
+    def flaky_bw(g):
+        if failures:
+            raise failures.pop()
+        ad._accumulate(x, g * 3.0)
+
+    y = x * 2.0
+    f = ad._from_op(x.data * 3.0, (x,), flaky_bw)
+    loss = (y + f).sum()
+    # the sweep hands y its gradient, then raises at f before reaching y
+    with pytest.raises(GradError):
+        backward(loss)
+    assert x.grad is None and y.grad is not None
+    backward(loss)
+    assert np.array_equal(x.grad, [5.0, 5.0]) and y.grad is None
+
+
+def test_gelu_is_bitwise_the_unfolded_erf_formula():
+    from scipy.special import erf
+
+    # cephes erf changes method at |x / sqrt(2)| = 1 and = 8
+    edges = []
+    for t in (1.0, 8.0):
+        x = t / ad._INV_SQRT2
+        for _ in range(3):
+            x = np.nextafter(x, 0.0)
+        for _ in range(7):
+            edges.append(x)
+            x = np.nextafter(x, np.inf)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = [0.0, tiny, 3 * tiny, np.finfo(np.float64).tiny / 2, 1e-300, 40.0, *edges]
+    rng = np.random.default_rng(14)
+    normals = [rng.normal(scale=s, size=25_000) for s in (0.1, 0.7, 2.0, 9.0)]
+    x = np.concatenate([special, np.negative(special), *normals])
+    assert x.size >= 100_000
+
+    t = Tensor(x, requires_grad=True)
+    out = ad.gelu(t)
+    backward(out.sum())
+    cdf = (erf(x * ad._INV_SQRT2) + 1) * 0.5
+    want = x * cdf
+    assert np.array_equal(out.data, want) and np.array_equal(np.signbit(out.data), np.signbit(want))
+    assert np.array_equal(t.grad, cdf + x * (ad._INV_SQRT_2PI * np.exp(-0.5 * x * x)))
 
 
 def test_backward_rejects_a_gradient_of_another_shape():

@@ -431,3 +431,16 @@ def test_override_parsing(tmp_path):
     assert _parse_override("name=plain") == ("name", "plain")
     with pytest.raises(ConfigError):
         _parse_override("no_equals_sign")
+
+
+def test_seed_flag_only_where_the_config_has_a_seed(capsys):
+    from coprompt.cli import build_parser
+    parser = build_parser()
+    assert parser.parse_args(["gen-data", "--seed", "3"]).seed == 3
+    assert parser.parse_args(["pretrain", "--seed", "3"]).seed == 3
+    # finetune's seed is train.seed; ablate and sweep take "seeds"
+    for command in ("finetune", "eval", "ablate", "sweep"):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--seed", "3"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Contrastive pre-training quality and behavior contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,27 @@ def test_eight_class_retrieval_beats_twice_chance(tmp_path):
     enc, hist = contrastive_pretrain(enc, split, epochs=25, lr=0.08, batch_size=8, seed=0)
     assert len(hist["loss"]) == 200
     assert hist["retrieval_accuracy"] > 2.0 / 8.0
+
+
+def test_pretrain_steps_do_not_hold_each_others_graphs():
+    """A step's graph and gradients are freed before the next step's
+    forward, so three steps peak no higher than one (within 10%)."""
+    manifest = build_family_manifest("mem8", ("crimson", "azure"), seed=5,
+                                     split_counts=(1, 0, 0), base_count=8)
+    tok = Tokenizer.from_manifests([manifest])
+    split = build_pretrain_split([generate_dataset(manifest)], tok)
+    assert len(split.examples) == 8  # batch 8: one epoch is one step
+
+    def peak(epochs):
+        enc = DualEncoder(EncoderConfig(), tok, seed=0)
+        tracemalloc.start()
+        try:
+            contrastive_pretrain(enc, split, epochs=epochs, batch_size=8, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3) <= 1.1 * peak(1)
 
 
 # -- session backbone (CLI-default pre-training) --------------------------------
