@@ -9,11 +9,13 @@ per side, and the side that goes first alternates. Per workload and
 end-to-end metric the file holds both sides' values, median, q1 and q3 and
 the pairs the change won or tied (direction from BENCHMARK.json); one
 `--trace 1` run at seed 1 per side adds the per-layer counts. Then, per
-side, a default CLI `gen-data` and a default CLI `pretrain` each run in a
-child process that reports its own wall seconds, max RSS and minor page
-faults (`e2e`), and the two backbone directories are compared byte for byte
-apart from `runtime_seconds`. Runs go one after another: anything else
-running on the host moves the numbers.
+side, a default CLI `gen-data`, `pretrain` (on the four families) and
+`finetune` (on `fields_a`) each run in a child process that reports its own
+wall seconds, max RSS and minor page faults (`e2e`). The two sides' suite,
+backbone and fine-tune directories are compared byte for byte, apart from
+`runtime_seconds` and the per-tensor `.json` sidecars older commits write
+(`suite_identical`, `backbone_identical`, `finetune_identical`). Runs go one
+after another: anything else running on the host moves the numbers.
 """
 
 import argparse
@@ -82,13 +84,18 @@ def cli(tree, *argv):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def backbone_files(tree):
-    """The default CLI backbone's files by name, `runtime_seconds` left out."""
-    root = tree / "e2e" / "backbone"
-    files = {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-    metrics = json.loads(files["pretrain_metrics.json"])
-    metrics.pop("runtime_seconds")
-    files["pretrain_metrics.json"] = metrics
+def output_files(root):
+    """The files under `root` by name; `runtime_seconds` is left out of the
+    metrics files, and so is a tensor's `.json` sidecar."""
+    files = {}
+    for p in root.rglob("*"):
+        if not p.is_file() or (p.suffix == ".json" and p.with_suffix(".bin").exists()):
+            continue
+        data = p.read_bytes()
+        if p.name.endswith("metrics.json"):
+            data = json.loads(data)
+            data.pop("runtime_seconds")
+        files[str(p.relative_to(root))] = data
     return files
 
 
@@ -142,9 +149,13 @@ def main(argv=None):
         result["e2e"] = {side: {
             "gen-data": cli(trees[side], "gen-data", "--out", "e2e/suite"),
             "pretrain": cli(trees[side], "pretrain", "--out", "e2e/backbone",
-                            "--override", f"datasets={datasets}")} for side in SIDES}
-        result["e2e"]["backbone_identical"] = (backbone_files(trees["parent"])
-                                              == backbone_files(trees["change"]))
+                            "--override", f"datasets={datasets}"),
+            "finetune": cli(trees[side], "finetune", "--out", "e2e/finetune",
+                            "--override", "backbone=e2e/backbone",
+                            "--override", "dataset=e2e/suite/fields_a")} for side in SIDES}
+        for out in ("suite", "backbone", "finetune"):
+            result["e2e"][f"{out}_identical"] = (output_files(trees["parent"] / "e2e" / out)
+                                                 == output_files(trees["change"] / "e2e" / out))
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
 
 

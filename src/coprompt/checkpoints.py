@@ -1,14 +1,16 @@
 """Tensor files, content hashing, and the one checkpoint writer/reader.
 
-A tensor is stored as a raw little-endian payload plus a JSON sidecar with
-its name, shape, and dtype. Checkpoints narrow to float32 on save (the
-narrowing is deliberate and lossy); mid-run training state uses float64 so
-a restored run continues bit-for-bit.
+A tensor file is a bare little-endian payload, `<name>.bin`; its shape
+comes from the manifest and the loader, its dtype from the caller.
+Checkpoints narrow to float32 on save (the narrowing is deliberate and
+lossy); mid-run training state uses float64 so a restored run continues
+bit-for-bit.
 
 A checkpoint is a directory of tensor files plus a JSON manifest: the
 caller's metadata (with its `kind`), each tensor's shape and sha256, and a
 content hash over the metadata and the tensor hashes. `read_checkpoint`
-verifies all of it before handing anything back.
+verifies all of it, and every shape against the one the loader expects,
+before handing anything back.
 
 Every config and manifest is a `Record`: a dataclass read from and written
 to a JSON object through its own fields and annotations.
@@ -43,38 +45,26 @@ def sha256_hex(data: bytes) -> str:
 
 
 def write_tensor(directory, name, array, dtype="f32"):
-    """Write `<name>.bin` + `<name>.json`; returns the payload sha256."""
-    arr = np.asarray(array, dtype=np.float64)
-    payload = arr.astype(_DTYPES[dtype]).tobytes()
+    """Write the bare payload `<name>.bin`; returns its sha256."""
+    payload = np.asarray(array, dtype=np.float64).astype(_DTYPES[dtype]).tobytes()
     with open(os.path.join(directory, name + ".bin"), "wb") as f:
         f.write(payload)
-    sidecar = {"name": name, "shape": list(arr.shape), "dtype": dtype}
-    with open(os.path.join(directory, name + ".json"), "w") as f:
-        json.dump(sidecar, f)
     return sha256_hex(payload)
 
 
-def read_tensor(directory, name, expected_sha=None):
-    """Load a tensor back as float64, verifying shape and optional hash."""
-    sidecar_path = os.path.join(directory, name + ".json")
+def read_tensor(directory, name, shape, dtype="f32", expected_sha=None):
+    """Load `<name>.bin` back as a float64 array of `shape`, verifying its
+    size and optional hash."""
     bin_path = os.path.join(directory, name + ".bin")
-    if not os.path.exists(sidecar_path) or not os.path.exists(bin_path):
-        raise CheckpointError(f"missing tensor files for {name!r} in {directory}")
-    with open(sidecar_path) as f:
-        sidecar = json.load(f)
+    if not os.path.exists(bin_path):
+        raise CheckpointError(f"missing tensor file for {name!r} in {directory}")
     with open(bin_path, "rb") as f:
         payload = f.read()
     if expected_sha is not None and sha256_hex(payload) != expected_sha:
         raise CheckpointError(f"hash mismatch for tensor {name!r} in {directory}")
-    try:
-        shape = tuple(sidecar["shape"])
-        dtype = _DTYPES[sidecar["dtype"]]
-    except (KeyError, TypeError) as e:
-        raise CheckpointError(f"bad sidecar for tensor {name!r} in {directory}: "
-                              f"missing key or unknown dtype {e}") from None
-    arr = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+    arr = np.frombuffer(payload, dtype=_DTYPES[dtype]).astype(np.float64)
     if arr.size != int(np.prod(shape, dtype=np.int64)):
-        raise CheckpointError(f"payload size does not match shape {shape} for {name!r}")
+        raise CheckpointError(f"payload size does not match shape {tuple(shape)} for {name!r}")
     return arr.reshape(shape)
 
 
@@ -178,16 +168,18 @@ def write_checkpoint(directory, meta, tensors, manifest="manifest.json", subdir=
     return chash
 
 
-def read_checkpoint(directory, kind, names_of, manifest="manifest.json", subdir=""):
+def read_checkpoint(directory, kind, shapes_of, manifest="manifest.json", subdir="",
+                    dtype="f32"):
     """Read back a `write_checkpoint` directory as (manifest, {name: float64 array}).
 
-    `names_of(manifest)` returns the tensor names the caller expects; it is
-    called only once the manifest is verified, so a caller may build what it
-    loads into from the manifest there. Refuses (CheckpointError), in this
-    order: a manifest of another `kind`; a content hash that does not match
-    every other manifest key plus the tensor hashes; a tensor name missing
-    from, or not in, the expected names; a tensor whose payload hash or
-    shape differs from its manifest entry.
+    `shapes_of(manifest)` returns {name: shape} of the tensors the caller
+    expects; it is called only once the manifest is verified, so a caller
+    may build what it loads into from the manifest there. Refuses
+    (CheckpointError), in this order: a manifest of another `kind`; a
+    content hash that does not match every other manifest key plus the
+    tensor hashes; a tensor name missing from, or not in, the expected
+    names; a manifest shape other than the expected one; a payload whose
+    hash or size differs from its manifest entry.
     """
     m = read_json(os.path.join(directory, manifest))
     if m.get("kind") != kind:
@@ -201,15 +193,16 @@ def read_checkpoint(directory, kind, names_of, manifest="manifest.json", subdir=
     meta = {k: v for k, v in m.items() if k not in ("tensors", "content_hash")}
     if content_hash(meta, hashes) != m.get("content_hash"):
         raise CheckpointError(f"content hash mismatch in {directory}")
-    names = list(names_of(m))
-    missing, unexpected = set(names) - set(entries), set(entries) - set(names)
+    expected = dict(shapes_of(m))
+    missing, unexpected = set(expected) - set(entries), set(entries) - set(expected)
     if missing or unexpected:
         raise CheckpointError(f"tensor names in {directory} do not match: missing "
                               f"{sorted(missing)}, unexpected {sorted(unexpected)}")
     arrays = {}
-    for name in names:
-        arr = read_tensor(os.path.join(directory, subdir), name, expected_sha=hashes[name])
-        if list(arr.shape) != shapes[name]:
-            raise CheckpointError(f"shape mismatch for tensor {name!r} in {directory}")
-        arrays[name] = arr
+    for name, shape in expected.items():
+        if shapes[name] != list(shape):
+            raise CheckpointError(f"shape mismatch for tensor {name!r} in {directory}: "
+                                  f"manifest {shapes[name]}, expected {list(shape)}")
+        arrays[name] = read_tensor(os.path.join(directory, subdir), name, shape, dtype,
+                                   expected_sha=hashes[name])
     return m, arrays

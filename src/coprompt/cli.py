@@ -178,7 +178,7 @@ def cmd_pretrain(cfg):
     enc_config = EncoderConfig.from_dict(cfg.encoder, "encoder.")
     datasets = [Dataset.load(_require_dir(p, "dataset")) for p in cfg.datasets]
     tokenizer = Tokenizer.from_manifests([d.manifest for d in datasets])
-    split = build_pretrain_split(datasets, tokenizer)
+    split = build_pretrain_split(datasets, tokenizer, enc_config.text_len)
 
     start = time.time()
     enc = DualEncoder(enc_config, tokenizer, seed=cfg.seed)

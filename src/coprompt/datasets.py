@@ -6,18 +6,22 @@ bit-exactly from the manifest seed. Classes are procedural pattern fields
 (stripes / checks / blobs / rings in a two-color palette) with per-sample
 phase, brightness, and noise jitter so pixel-space centroids are an
 intentionally mediocre classifier.
+
+In memory a dataset is one packed record array in `images.bin`'s own
+layout, read and written whole. Its (N, H, W, C) float32 `pixels` and
+parallel `class_ids` / `sample_seeds` are views of it, and every consumer
+(few-shot split, pretrain split, pools) gathers rows by index.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
-import shutil
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoints import Record, canonical_json, read_json, sha256_hex, write_json
+from .checkpoints import Record, canonical_json, read_json, write_json
 
 FORMAT_VERSION = 1
 MAGIC = b"CPDS"
@@ -105,13 +109,6 @@ class DatasetManifest(Record):
         return [c.name for c in self.classes]
 
 
-@dataclass
-class ImageRecord:
-    class_id: int
-    sample_seed: int
-    pixels: np.ndarray  # (H, W, C) float32 in [0, 1]
-
-
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -169,52 +166,46 @@ def _sample_seed(manifest_seed, class_id, index):
 # on-disk format
 
 
-def _write_records(path, records, image_size, channels):
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", FORMAT_VERSION, len(records)))
-        for rec in records:
-            f.write(struct.pack("<IQ", rec.class_id, rec.sample_seed))
-            f.write(rec.pixels.astype("<f4").tobytes())
+def _row_dtype(manifest):
+    """One packed `images.bin` record: class id u32, sample seed u64, pixels f32."""
+    size, channels = manifest.image_size, manifest.channels
+    return np.dtype([("class_id", "<u4"), ("sample_seed", "<u8"),
+                     ("pixels", "<f4", (size, size, channels))])
 
 
-def _read_records(path, image_size, channels):
+def _read_rows(path, dtype):
     """Every record of `images.bin`; a file whose length is not exactly the
     header plus `count` records (short or with trailing bytes) is refused."""
-    pixel_count = image_size * image_size * channels
-    record_size = 12 + 4 * pixel_count
-    records = []
     with open(path, "rb") as f:
-        header = f.read(12)
-        if header[:4] != MAGIC:
-            raise DatasetError(f"bad magic in {path}")
-        if len(header) < 12:
-            raise DatasetError(f"truncated header in {path}")
-        version, count = struct.unpack_from("<II", header, 4)
-        if version != FORMAT_VERSION:
-            raise DatasetError(f"unsupported dataset format version {version}")
-        size = os.fstat(f.fileno()).st_size
-        if size != 12 + count * record_size:
-            raise DatasetError(f"{path} is {size} bytes, but {count} records "
-                               f"take {12 + count * record_size}")
-        for _ in range(count):
-            class_id, sample_seed = struct.unpack("<IQ", f.read(12))
-            pixels = np.frombuffer(f.read(4 * pixel_count), dtype="<f4")
-            pixels = pixels.reshape(image_size, image_size, channels).astype(np.float32)
-            records.append(ImageRecord(class_id, sample_seed, pixels))
-    return records
+        data = f.read()
+    if data[:4] != MAGIC:
+        raise DatasetError(f"bad magic in {path}")
+    if len(data) < 12:
+        raise DatasetError(f"truncated header in {path}")
+    version, count = (int(v) for v in np.frombuffer(data, "<u4", 2, offset=4))
+    if version != FORMAT_VERSION:
+        raise DatasetError(f"unsupported dataset format version {version}")
+    if len(data) != 12 + count * dtype.itemsize:
+        raise DatasetError(f"{path} is {len(data)} bytes, but {count} records "
+                           f"take {12 + count * dtype.itemsize}")
+    return np.frombuffer(data, dtype, offset=12)
 
 
 class Dataset:
     """In-memory view over a generated dataset directory.
 
-    Records are ordered class-major, and within each class: train block,
-    then val, then test. Pool accessors slice that fixed layout.
+    `rows` is the packed record array; `pixels` (N, H, W, C) float32,
+    `class_ids` and `sample_seeds` are views of it. Rows are ordered
+    class-major, and within each class: train block, then val, then test.
+    Pool accessors slice that fixed layout. A loaded dataset is read-only.
     """
 
-    def __init__(self, manifest: DatasetManifest, records, directory=None):
+    def __init__(self, manifest: DatasetManifest, rows, directory=None):
         self.manifest = manifest
-        self.records = records
+        self.rows = rows
+        self.pixels = rows["pixels"]
+        self.class_ids = rows["class_id"]
+        self.sample_seeds = rows["sample_seed"]
         self.directory = directory
 
     @staticmethod
@@ -224,22 +215,23 @@ class Dataset:
             manifest = DatasetManifest.from_dict(read_json(path))
         except ValueError as e:
             raise DatasetError(f"{path}: {e}") from None
-        records = _read_records(os.path.join(directory, "images.bin"),
-                                manifest.image_size, manifest.channels)
-        return Dataset(manifest, records, directory)
+        rows = _read_rows(os.path.join(directory, "images.bin"), _row_dtype(manifest))
+        return Dataset(manifest, rows, directory)
 
     def save(self, directory):
         os.makedirs(directory, exist_ok=True)
         write_json(os.path.join(directory, "manifest.json"), self.manifest.to_dict())
-        _write_records(os.path.join(directory, "images.bin"), self.records,
-                       self.manifest.image_size, self.manifest.channels)
+        with open(os.path.join(directory, "images.bin"), "wb") as f:
+            f.write(MAGIC + np.asarray([FORMAT_VERSION, len(self.rows)], "<u4").tobytes())
+            self.rows.tofile(f)
         self.directory = directory
         return self
 
     @property
     def content_hash(self):
-        payload = b"".join(rec.pixels.astype("<f4").tobytes() for rec in self.records)
-        return sha256_hex(canonical_json(self.manifest.to_dict()).encode() + payload)
+        h = hashlib.sha256(canonical_json(self.manifest.to_dict()).encode())
+        h.update(self.pixels.tobytes())
+        return h.hexdigest()
 
     def _block(self, class_id):
         return class_id * self.manifest.split.per_class
@@ -256,11 +248,8 @@ class Dataset:
 
     def pool(self, class_ids, pool):
         """(pixels, class_id) pairs for the given classes and pool."""
-        out = []
-        for cid in class_ids:
-            for idx in self.pool_indices(cid, pool):
-                out.append((self.records[idx].pixels, cid))
-        return out
+        return [(self.pixels[idx], cid) for cid in class_ids
+                for idx in self.pool_indices(cid, pool)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +298,15 @@ def build_family_manifest(name, palettes, seed, split_counts, noise=0.06,
 
 def generate_dataset(manifest: DatasetManifest, out_dir=None) -> Dataset:
     """Materialize every record of a manifest; bit-identical per manifest."""
-    records = []
-    for cls in manifest.classes:
-        for idx in range(manifest.split.per_class):
-            sseed = _sample_seed(manifest.seed, cls.id, idx)
-            rng = np.random.default_rng(sseed)
-            pixels = render_image(cls, manifest.image_size, manifest.noise, rng)
-            records.append(ImageRecord(cls.id, sseed, pixels))
-    ds = Dataset(manifest, records)
+    per_class = manifest.split.per_class
+    rows = np.zeros(len(manifest.classes) * per_class, _row_dtype(manifest))
+    samples = ((cls, idx) for cls in manifest.classes for idx in range(per_class))
+    for row, (cls, idx) in zip(rows, samples):  # each row is a view into `rows`
+        sseed = _sample_seed(manifest.seed, cls.id, idx)
+        row["class_id"], row["sample_seed"] = cls.id, sseed
+        row["pixels"] = render_image(cls, manifest.image_size, manifest.noise,
+                                     np.random.default_rng(sseed))
+    ds = Dataset(manifest, rows)
     if out_dir is not None:
         ds.save(out_dir)
     return ds
@@ -342,20 +332,10 @@ def make_shifted_variant(dataset: Dataset, shift, out_dir=None) -> Dataset:
     if shift == "noise":
         manifest.shift["sigma"] = NOISE_SIGMA
 
-    if shift == "identity":
-        records = [ImageRecord(r.class_id, r.sample_seed, r.pixels.copy()) for r in dataset.records]
-        ds = Dataset(manifest, records)
-        if out_dir is not None:
-            ds.save(out_dir)
-            # images.bin must be byte-identical to the source
-            if dataset.directory is not None:
-                shutil.copyfile(os.path.join(dataset.directory, "images.bin"),
-                                os.path.join(out_dir, "images.bin"))
-        return ds
-
-    records = []
-    for idx, rec in enumerate(dataset.records):
-        img = rec.pixels.astype(np.float64)
+    rows = dataset.rows.copy()
+    pixels = rows["pixels"]
+    for idx in range(len(rows)):
+        img = pixels[idx].astype(np.float64)
         if shift == "palette_shift":
             img = img * np.asarray([1.18, 0.82, 1.05]) + np.asarray([0.02, 0.05, -0.02])
         elif shift == "noise":
@@ -364,9 +344,8 @@ def make_shifted_variant(dataset: Dataset, shift, out_dir=None) -> Dataset:
         elif shift == "style_remap":
             img = 0.82 * img + 0.18 * img[..., [1, 2, 0]]  # mild channel blend
             img = np.clip(img, 0.0, 1.0) ** 0.65
-        records.append(ImageRecord(rec.class_id, rec.sample_seed,
-                                   np.clip(img, 0.0, 1.0).astype(np.float32)))
-    ds = Dataset(manifest, records)
+        pixels[idx] = np.clip(img, 0.0, 1.0)  # identity: every pixel is already in [0, 1]
+    ds = Dataset(manifest, rows)
     if out_dir is not None:
         ds.save(out_dir)
     return ds
@@ -377,18 +356,11 @@ def make_shifted_variant(dataset: Dataset, shift, out_dir=None) -> Dataset:
 
 
 @dataclass
-class FewShotItem:
-    pixels: np.ndarray
-    label: int       # index into base_class_ids ordering
-    class_id: int
-    record_index: int
-
-
-@dataclass
 class FewShotSplit:
     dataset: Dataset
     base_class_ids: list
-    items: list
+    indices: np.ndarray  # dataset rows, label-major
+    labels: np.ndarray   # index into base_class_ids of each row
     shots: int
     seed: int
 
@@ -401,17 +373,17 @@ def make_fewshot_split(dataset: Dataset, shots, seed) -> FewShotSplit:
     """Exactly `shots` train images per base class, sampled without replacement."""
     split = dataset.manifest.split
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4242]))
-    items = []
+    indices, labels = [], []
     for label, cid in enumerate(split.base):
         pool = dataset.pool_indices(cid, "train")
         if len(pool) < shots:
             raise DatasetError(
                 f"class {cid} has only {len(pool)} train images, need {shots} shots")
         chosen = rng.choice(len(pool), size=shots, replace=False)
-        for j in sorted(int(i) for i in chosen):
-            idx = pool[j]
-            items.append(FewShotItem(dataset.records[idx].pixels, label, cid, idx))
-    return FewShotSplit(dataset, list(split.base), items, shots, seed)
+        indices += [pool[j] for j in sorted(int(i) for i in chosen)]
+        labels += [label] * shots
+    return FewShotSplit(dataset, list(split.base), np.asarray(indices, dtype=np.int64),
+                        np.asarray(labels, dtype=np.int64), shots, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +430,13 @@ def nearest_centroid_accuracy(dataset: Dataset, class_ids=None):
     """Pixel-space nearest-centroid accuracy: train centroids, test queries."""
     if class_ids is None:
         class_ids = [c.id for c in dataset.manifest.classes]
-    centroids = []
-    for cid in class_ids:
-        vecs = [dataset.records[i].pixels.reshape(-1) for i in dataset.pool_indices(cid, "train")]
-        centroids.append(np.mean(vecs, axis=0))
-    centroids = np.stack(centroids)
+    flat = dataset.pixels.reshape(len(dataset.pixels), -1)
+    centroids = np.stack([np.mean(flat[dataset.pool_indices(cid, "train")], axis=0)
+                          for cid in class_ids])
     correct = total = 0
     for pos, cid in enumerate(class_ids):
         for i in dataset.pool_indices(cid, "test"):
-            v = dataset.records[i].pixels.reshape(-1)
+            v = flat[i]
             pred = int(np.argmin(((centroids - v) ** 2).sum(axis=1)))
             correct += pred == pos
             total += 1
@@ -478,7 +448,7 @@ def export_ppm(dataset: Dataset, out_dir, per_class=1):
     os.makedirs(out_dir, exist_ok=True)
     for cls in dataset.manifest.classes:
         for j, idx in enumerate(dataset.pool_indices(cls.id, "train")[:per_class]):
-            img = (dataset.records[idx].pixels * 255.0).astype(np.uint8)
+            img = (dataset.pixels[idx] * 255.0).astype(np.uint8)
             h, w, _ = img.shape
             lines = [f"P3\n{w} {h}\n255\n"]
             for row in img:

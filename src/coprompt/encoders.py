@@ -8,7 +8,9 @@ re-injected (first ``m`` positions replaced) at every deeper prompted layer.
 
 The pre-trainer plays the role of the large-scale pretraining this kind of
 model normally assumes: a symmetric in-batch contrastive loss over
-cosine-similarity logits scaled by a learned temperature.
+cosine-similarity logits scaled by a learned temperature. Its data, a
+`PretrainSplit`, holds row views into the datasets' pixel arrays, a class
+index per row and one caption list per class; batches gather rows by index.
 """
 
 from __future__ import annotations
@@ -370,42 +372,47 @@ class DualEncoder:
 
 
 @dataclass
-class PretrainExample:
-    pixels: np.ndarray
-    captions: list   # token id sequences to sample from
-    class_index: int  # position in the combined class list
-
-
-@dataclass
 class PretrainSplit:
-    examples: list
-    heldout: list
-    class_templates: list  # template token ids per combined class
-    num_classes: int
+    """Image/caption pairs over combined class sets. Images are (H, W, C)
+    row views into their datasets; no image set is copied or concatenated."""
+    images: list              # every "train" pool row
+    classes: np.ndarray       # combined class index of each image
+    heldout_images: list      # every "val" pool row
+    heldout_classes: np.ndarray
+    captions: list            # per combined class: its template, then its descriptions
+
+    @property
+    def class_templates(self):
+        return [c[0] for c in self.captions]
+
+    @property
+    def num_classes(self):
+        return len(self.captions)
 
 
-def build_pretrain_split(datasets, tokenizer):
+def build_pretrain_split(datasets, tokenizer, text_len):
     """Image/caption pairs over full class sets, mirroring broad pretraining.
 
     Captions and class templates are token id tuples, ready for a batched
-    `encode_text` call. Held-out examples come from the "val" pool.
+    `encode_text` call; a caption longer than `text_len` is refused
+    (ValueError). Held-out images come from the "val" pool.
     """
-    examples, heldout, templates = [], [], []
-    class_index = {}
+    images, classes, captions = {"train": [], "val": []}, {"train": [], "val": []}, []
     for ds in datasets:
         for cls in ds.manifest.classes:
-            key = (ds.manifest.name, cls.id)
-            class_index[key] = len(templates)
-            template = tuple(template_tokens(tokenizer, cls.name))
-            templates.append(template)
-            captions = [template] + [tuple(tokenizer.encode(d)) for d in cls.descriptions]
-            for idx in ds.pool_indices(cls.id, "train"):
-                examples.append(PretrainExample(ds.records[idx].pixels, captions,
-                                                class_index[key]))
-            for idx in ds.pool_indices(cls.id, "val"):
-                heldout.append(PretrainExample(ds.records[idx].pixels, captions,
-                                               class_index[key]))
-    return PretrainSplit(examples, heldout, templates, len(templates))
+            sentences = [tuple(template_tokens(tokenizer, cls.name))]
+            sentences += [tuple(tokenizer.encode(d)) for d in cls.descriptions]
+            longest = max(len(t) for t in sentences)
+            if longest > text_len:
+                raise ValueError(f"a caption of class {cls.name!r} has {longest} tokens, "
+                                 f"more than text_len {text_len}")
+            for pool in images:
+                rows = ds.pool_indices(cls.id, pool)
+                images[pool] += [ds.pixels[i] for i in rows]
+                classes[pool] += [len(captions)] * len(rows)
+            captions.append(sentences)
+    return PretrainSplit(images["train"], np.asarray(classes["train"]),
+                         images["val"], np.asarray(classes["val"]), captions)
 
 
 def _clip_global_norm(params, max_norm):
@@ -421,25 +428,26 @@ def _clip_global_norm(params, max_norm):
                 p.grad = p.grad * scale  # gradient arrays may be shared
 
 
-def retrieval_accuracy(enc, examples, class_templates):
+def retrieval_accuracy(enc, images, classes, class_templates):
     """Image-to-text retrieval over the class template sentences."""
     with ad.no_grad():
         text = enc.encode_text(class_templates).data
-        img = enc.encode_image(np.stack([ex.pixels for ex in examples])).data
+        img = enc.encode_image(np.stack(images)).data
     predicted = np.argmax(img @ text.T, axis=1)
-    return float(np.mean(predicted == [ex.class_index for ex in examples]))
+    return float(np.mean(predicted == classes))
 
 
-def _pretrain_step(enc, batch, captions, opt, opt_tau):
-    """One contrastive SGD step on `batch`; returns its loss as a float.
+def _pretrain_step(enc, images, captions, opt, opt_tau):
+    """One contrastive SGD step on the paired `images` and `captions`;
+    returns its loss as a float.
 
     The step's graph is local to this call, so it is freed before the next
     step's forward is built rather than living through it."""
     log_tau = enc.weights["log_tau"]
-    img = enc.encode_image(np.stack([ex.pixels for ex in batch]))
+    img = enc.encode_image(images)
     txt = enc.encode_text(captions)
     logits = ad.matmul(img, ad.transpose(txt, (1, 0))) / ad.exp(log_tau)
-    labels = np.arange(len(batch))
+    labels = np.arange(len(images))
     loss = 0.5 * (ad.cross_entropy_from_logits(logits, labels)
                   + ad.cross_entropy_from_logits(ad.transpose(logits, (1, 0)), labels))
     ad.backward(loss)
@@ -480,7 +488,7 @@ def contrastive_pretrain(enc, split: PretrainSplit, epochs=6, lr=0.05,
         raise ValueError("contrastive_pretrain: encoder is frozen")
     if split.num_classes < 2:
         raise ValueError("contrastive_pretrain: need at least 2 classes")
-    if not split.examples:
+    if not split.images:
         raise ValueError("contrastive_pretrain: empty dataset")
 
     log_tau = enc.weights["log_tau"]
@@ -491,12 +499,12 @@ def contrastive_pretrain(enc, split: PretrainSplit, epochs=6, lr=0.05,
     losses = []
 
     by_class = {}
-    for ex in split.examples:
-        by_class.setdefault(ex.class_index, []).append(ex)
+    for i, c in enumerate(split.classes):
+        by_class.setdefault(int(c), []).append(i)
     class_ids = sorted(by_class)
     per_batch = min(batch_size, len(class_ids))
 
-    n = len(split.examples)
+    n = len(split.images)
     steps = epochs * max(1, n // max(2, per_batch))
     for step in range(steps):
         if step < WARMUP_STEPS:
@@ -507,18 +515,18 @@ def contrastive_pretrain(enc, split: PretrainSplit, epochs=6, lr=0.05,
         opt.lr = lr * scale
         opt_tau.lr = lr * TAU_LR_SCALE * scale
 
-        chosen = rng.choice(len(class_ids), size=per_batch, replace=False)
-        batch = []
-        for c in chosen:
-            members = by_class[class_ids[int(c)]]
-            batch.append(members[int(rng.integers(len(members)))])
-        captions = [ex.captions[int(rng.integers(len(ex.captions)))] for ex in batch]
-        losses.append(_pretrain_step(enc, batch, captions, opt, opt_tau))
+        chosen = [class_ids[int(c)]
+                  for c in rng.choice(len(class_ids), size=per_batch, replace=False)]
+        rows = [by_class[c][int(rng.integers(len(by_class[c])))] for c in chosen]
+        captions = [split.captions[c][int(rng.integers(len(split.captions[c])))]
+                    for c in chosen]
+        images = np.stack([split.images[i] for i in rows])
+        losses.append(_pretrain_step(enc, images, captions, opt, opt_tau))
 
     history = {"loss": losses, "tau": enc.tau}
-    if split.heldout:
-        history["retrieval_accuracy"] = retrieval_accuracy(enc, split.heldout,
-                                                           split.class_templates)
+    if split.heldout_images:
+        history["retrieval_accuracy"] = retrieval_accuracy(
+            enc, split.heldout_images, split.heldout_classes, split.class_templates)
         history["chance"] = 1.0 / split.num_classes
     return enc, history
 
@@ -548,13 +556,14 @@ def save_backbone(directory, enc: DualEncoder):
 
 def load_backbone(directory) -> DualEncoder:
     """Load a frozen backbone through the verifying `read_checkpoint`; the
-    weight names come from `weight_spec`, so nothing is drawn at random."""
+    weight names and shapes come from `weight_spec`, so nothing is drawn at
+    random."""
 
-    def weight_names(manifest):
+    def weight_shapes(manifest):
         config = EncoderConfig.from_dict(manifest["config"])
-        return [name for name, _, _ in weight_spec(config, len(manifest["vocab"]))]
+        return {name: shape for name, shape, _ in weight_spec(config, len(manifest["vocab"]))}
 
-    manifest, arrays = read_checkpoint(directory, "backbone", weight_names,
+    manifest, arrays = read_checkpoint(directory, "backbone", weight_shapes,
                                        manifest=BACKBONE_MANIFEST)
     # pop as we copy: one copy of the weights at a time
     weights = {name: Tensor(arrays.pop(name)) for name in list(arrays)}

@@ -188,7 +188,7 @@ class Trainer:
     def __init__(self, backbone: DualEncoder, cfg: TrainConfig, data: FewShotSplit):
         if not backbone.frozen:
             raise ValueError("finetune requires a frozen backbone")
-        if not data.items:
+        if len(data.indices) == 0:
             raise ValueError("finetune: empty few-shot split")
         self.backbone = backbone
         self.backbone_fingerprint = backbone.weight_fingerprint()
@@ -206,6 +206,12 @@ class Trainer:
 
         names = data.base_class_names
         self.class_tokens = [tuple(self.store.template_tokens(n)) for n in names]
+        prompts = self.model.prompt_set.text_schedule()
+        m = prompts[0].shape[0] if prompts else 0
+        longest = max(len(t) for t in self.class_tokens)
+        if longest + m > backbone.config.text_len:
+            raise ValueError(f"a class template of {longest} tokens plus {m} prompts "
+                             f"exceeds text_len {backbone.config.text_len}")
         # frozen teacher row of every sentence the text branch is fed: the
         # plain templates and every base-class description
         sentences = list(dict.fromkeys(self.class_tokens + [
@@ -218,39 +224,36 @@ class Trainer:
         self.perm = None
         self.pos = 0
 
-        n = len(data.items)
+        n = len(data.indices)
         self.steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
         self.total_steps = cfg.epochs * self.steps_per_epoch
 
     # -- single step ----------------------------------------------------------
 
     def _next_batch(self):
-        n = len(self.data.items)
+        """(images, labels) of the next batch, gathered from the split."""
+        n = len(self.data.indices)
         if self.perm is None or self.pos >= n:
             self.perm = self.batch_rng.permutation(n)
             self.pos = 0
         idx = self.perm[self.pos:self.pos + self.cfg.batch_size]
         self.pos += self.cfg.batch_size
-        return [self.data.items[int(i)] for i in idx]
+        return self.data.dataset.pixels[self.data.indices[idx]], self.data.labels[idx]
 
     def train_step(self):
         cfg = self.cfg
         cons = cfg.consistency
-        batch = self._next_batch()
-        labels = np.asarray([item.label for item in batch])
+        images, labels = self._next_batch()
 
         class_embs = self.model.class_matrix(self.class_tokens)
 
-        views_frozen, views_tuned = [], []
-        for item in batch:
-            if cons.enabled and cons.perturb_image != "none":
-                va, vb = perturb_image(self.augmenter, item.pixels, self.perturb_rng)
-            else:
-                va = vb = item.pixels
-            views_frozen.append(va)
-            views_tuned.append(vb)
+        views_frozen = views_tuned = images
+        if cons.enabled and cons.perturb_image != "none":
+            views = [perturb_image(self.augmenter, img, self.perturb_rng) for img in images]
+            views_frozen = np.stack([va for va, _ in views])
+            views_tuned = np.stack([vb for _, vb in views])
 
-        img_batch = self.model.image_embedding(np.stack(views_tuned))
+        img_batch = self.model.image_embedding(views_tuned)
 
         ce = supervised_loss(img_batch, class_embs, labels, self.backbone.tau)
         ce_val = ce.item()
@@ -263,12 +266,12 @@ class Trainer:
         if cons.enabled:
             frozen_text = np.stack([
                 self.frozen_text[tuple(perturb_text(self.store,
-                                                    self.data.base_class_names[item.label],
+                                                    self.data.base_class_names[label],
                                                     self.perturb_rng,
                                                     descriptive=cons.perturb_text))]
-                for item in batch])
+                for label in labels])
             with ad.no_grad():
-                frozen_img = self.backbone.encode_image(np.stack(views_frozen)).data
+                frozen_img = self.backbone.encode_image(views_frozen).data
             tuned_text = ad.slice_(class_embs, labels)
             cc = consistency_loss(cons, frozen_text, tuned_text, frozen_img, img_batch)
 
@@ -333,9 +336,9 @@ class Trainer:
     def restore(backbone, cfg, data, directory):
         """A trainer at the saved step; refuses a state saved under another config."""
         trainer = Trainer(backbone, cfg, data)
-        names = [p + name for p in ("param.", "vel.") for name, _ in trainer.params]
-        state, arrays = read_checkpoint(directory, "train_state", lambda _: names,
-                                        manifest=STATE_MANIFEST)
+        shapes = {p + name: t.shape for p in ("param.", "vel.") for name, t in trainer.params}
+        state, arrays = read_checkpoint(directory, "train_state", lambda _: shapes,
+                                        manifest=STATE_MANIFEST, dtype="f64")
         if canonical_json(state["config"]) != canonical_json(cfg.to_dict()):
             raise CheckpointError(f"train state in {directory} was saved under another "
                                   "config than the one given")
@@ -359,8 +362,7 @@ def measure_train_state(model: TunedModel, data: FewShotSplit,
     """Mean CE, consistency value, and per-branch embedding deviation over
     the whole few-shot split on unperturbed inputs."""
     templates = [tuple(store.template_tokens(n)) for n in data.base_class_names]
-    images = np.stack([item.pixels for item in data.items])
-    labels = np.asarray([item.label for item in data.items])
+    images, labels = data.dataset.pixels[data.indices], data.labels
     with ad.no_grad():
         class_embs = model.class_matrix(templates).data
         frozen_cls = model.backbone.encode_text(templates).data
@@ -441,7 +443,7 @@ def load_finetune_checkpoint(directory, backbone: DualEncoder | None = None,
     """Rebuild the tuned model; refuses to run on a hash-mismatched backbone."""
     model = None
 
-    def tuned_names(manifest):
+    def tuned_shapes(manifest):
         nonlocal backbone, model
         if backbone is None:
             bb_dir = backbone_dir or manifest.get("backbone_path")
@@ -455,9 +457,9 @@ def load_finetune_checkpoint(directory, backbone: DualEncoder | None = None,
             raise CheckpointError("backbone weights do not match the checkpoint's "
                                   "recorded fingerprint")
         model = tuned_model(backbone, TrainConfig.from_dict(manifest["train"]))
-        return [name for name, _ in model.params]
+        return {name: t.shape for name, t in model.params}
 
-    manifest, arrays = read_checkpoint(directory, "finetune", tuned_names,
+    manifest, arrays = read_checkpoint(directory, "finetune", tuned_shapes,
                                        manifest=FINETUNE_MANIFEST, subdir=TUNED_DIR)
     for name, t in model.params:
         t.data = arrays[name]

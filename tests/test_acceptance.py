@@ -128,7 +128,7 @@ def test_equation_collapse_identities(backbone, source):
         # adapters at init: full loss equals the adapterless loss within 1e-6
         name = source.manifest.classes[0].name
         tokens = tok.encode(f"a photo of a {name}")
-        image = source.records[0].pixels
+        image = source.pixels[0]
         with ad.no_grad():
             f_text = backbone.encode_text(tokens).data
             f_img = backbone.encode_image(image).data

@@ -348,7 +348,7 @@ def test_tensor_file_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     arr = rng.normal(size=(3, 4))
     write_tensor(str(tmp_path), "w", arr, dtype="f32")
-    back = read_tensor(str(tmp_path), "w")
+    back = read_tensor(str(tmp_path), "w", (3, 4))
     assert back.shape == (3, 4)
     assert back.dtype == np.float64
     # f32 narrowing is deliberate and lossy
@@ -356,16 +356,16 @@ def test_tensor_file_roundtrip(tmp_path):
     assert not np.array_equal(back, arr)
 
     write_tensor(str(tmp_path), "x", arr, dtype="f64")
-    assert np.array_equal(read_tensor(str(tmp_path), "x"), arr)
+    assert np.array_equal(read_tensor(str(tmp_path), "x", (3, 4), dtype="f64"), arr)
 
 
 def test_tensor_file_hash_verification(tmp_path):
     from coprompt.checkpoints import CheckpointError, read_tensor, write_tensor
 
     sha = write_tensor(str(tmp_path), "w", np.ones(4))
-    assert isinstance(read_tensor(str(tmp_path), "w", expected_sha=sha), np.ndarray)
+    assert isinstance(read_tensor(str(tmp_path), "w", (4,), expected_sha=sha), np.ndarray)
     with open(tmp_path / "w.bin", "r+b") as f:
         f.seek(0)
         f.write(b"\xff")
     with pytest.raises(CheckpointError, match="hash mismatch"):
-        read_tensor(str(tmp_path), "w", expected_sha=sha)
+        read_tensor(str(tmp_path), "w", (4,), expected_sha=sha)

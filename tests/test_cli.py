@@ -206,8 +206,12 @@ def _add_backbone_manifest_key(ft, bb, ds):
     _edit_json(bb / "manifest.json", lambda m: m.update({"retrieval_accuracy": 1.0}))
 
 
-def _unknown_sidecar_dtype(ft, bb, ds):
-    _edit_json(next((ft / "tuned").glob("*.json")), lambda s: s.update({"dtype": "f16"}))
+def _transpose_manifest_shape(ft, bb, ds):
+    # the content hash does not cover shapes; the loader's own shapes catch it
+    def edit(m):
+        entry = m["tensors"]["adapter.text.w0"]
+        entry["shape"] = entry["shape"][::-1]
+    _edit_json(ft / "config.json", edit)
 
 
 def _truncate_images(ft, bb, ds):
@@ -224,11 +228,11 @@ def _append_to_images(ft, bb, ds):
     (_flip_tensor_byte, "hash"),
     (_edit_finetune_lambda, "hash"),
     (_add_backbone_manifest_key, "hash"),
-    (_unknown_sidecar_dtype, "dtype"),
+    (_transpose_manifest_shape, "shape mismatch"),
     (_truncate_images, "truncated"),
     (_append_to_images, "bytes"),
 ], ids=["tensor_byte_flip", "finetune_config_edit", "backbone_manifest_edit",
-        "unknown_sidecar_dtype", "images_truncated", "images_trailing_bytes"])
+        "tensor_shape_edit", "images_truncated", "images_trailing_bytes"])
 def test_corrupted_checkpoint_refuses_to_run(rig, tmp_path, capsys, corrupt, message):
     root, suite_dir, bb_dir = rig
     bb, ds, ft_dir = tmp_path / "bb", tmp_path / "ds", tmp_path / "ft"
@@ -272,10 +276,13 @@ def _manifest_split_train_as_string(m):
     ("sweep", ["values=5"], None, "values"),
     ("finetune", [], _drop_manifest_noise, "noise"),
     ("finetune", [], _manifest_split_train_as_string, "split.train"),
+    ("pretrain", ["encoder.text_len=8"], None, "text_len"),
+    ("finetune", ["train.prompt_m=12"], None, "text_len"),
 ], ids=["train_lr_string", "train_shots_float", "train_consistency_int", "train_int",
         "override_inside_train_int", "train_lambda_bool", "gen_data_source_counts_int",
         "eval_targets_int", "eval_variants_int", "ablate_seeds_int", "ablate_train_list",
-        "sweep_values_int", "manifest_noise_missing", "manifest_split_train_string"])
+        "sweep_values_int", "manifest_noise_missing", "manifest_split_train_string",
+        "pretrain_captions_over_text_len", "finetune_prompts_over_text_len"])
 def test_malformed_input_exits_2(rig, tmp_path, capsys, command, overrides,
                                  manifest_edit, named):
     """Every unknown, missing or wrong-typed config or manifest value exits 2
@@ -288,6 +295,7 @@ def test_malformed_input_exits_2(rig, tmp_path, capsys, command, overrides,
     runs = {"backbone": str(bb_dir), "dataset": str(ds), "out": str(out),
             "train": TINY_TRAIN}
     cfg = {"gen-data": {"out": str(out)},
+           "pretrain": {"datasets": [str(ds)], "out": str(out)},
            "finetune": runs,
            "eval": {"checkpoint": str(bb_dir), "protocol": "base_to_novel",
                     "dataset": str(ds), "out": str(out)},

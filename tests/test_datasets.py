@@ -1,9 +1,12 @@
 """Dataset generation, on-disk format, shifts, and few-shot splits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from coprompt.datasets import (
+    VARIANT_SHIFTS,
     Dataset,
     DatasetError,
     build_default_suite,
@@ -38,13 +41,42 @@ def test_load_roundtrip(source):
     loaded = Dataset.load(source.directory)
     assert loaded.content_hash == source.content_hash
     assert loaded.manifest.class_names == source.manifest.class_names
-    assert np.array_equal(loaded.records[17].pixels, source.records[17].pixels)
+    assert np.array_equal(loaded.pixels[17], source.pixels[17])
+
+
+def test_save_load_save_is_byte_identical_for_every_suite_member(tmp_path, suite):
+    for name, ds in suite.items():
+        loaded = Dataset.load(ds.directory)
+        assert np.array_equal(loaded.pixels, ds.pixels)
+        loaded.save(str(tmp_path / name))
+        assert ((tmp_path / name / "images.bin").read_bytes()
+                == open(f"{ds.directory}/images.bin", "rb").read())
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generation_and_shifts_hold_one_image_set(tmp_path, source):
+    """Generating a dataset or a shifted variant (and saving it) never holds
+    a second copy of the image set: peak within 1.25x the pixel bytes."""
+    nbytes = source.pixels.nbytes
+    assert _traced_peak(lambda: generate_dataset(source.manifest, str(tmp_path / "g"))) \
+        <= 1.25 * nbytes
+    for shift in VARIANT_SHIFTS:
+        peak = _traced_peak(lambda: make_shifted_variant(source, shift, str(tmp_path / shift)))
+        assert peak <= 1.25 * nbytes, shift
 
 
 def test_pixel_range_and_shape(source):
-    for rec in source.records[::37]:
-        assert rec.pixels.shape == (32, 32, 3)
-        assert rec.pixels.min() >= 0.0 and rec.pixels.max() <= 1.0
+    for pixels in source.pixels[::37]:
+        assert pixels.shape == (32, 32, 3)
+        assert pixels.min() >= 0.0 and pixels.max() <= 1.0
 
 
 def test_noiseless_single_sample_centroid_is_perfect(tmp_path):
@@ -57,7 +89,7 @@ def test_noiseless_single_sample_centroid_is_perfect(tmp_path):
     centroids, labels = [], []
     for cls in manifest.classes:
         idx = ds.pool_indices(cls.id, "train")[0]
-        centroids.append(ds.records[idx].pixels.reshape(-1))
+        centroids.append(ds.pixels[idx].reshape(-1))
         labels.append(cls.id)
     centroids = np.stack(centroids)
     for vec, label in zip(centroids, labels):
@@ -134,30 +166,39 @@ def test_variants_deterministic(tmp_path, source):
 
 def test_fewshot_exact_counts(source):
     split = make_fewshot_split(source, shots=16, seed=0)
-    assert len(split.items) == 16 * 8
+    assert len(split.indices) == 16 * 8
     per_label = {}
-    for item in split.items:
-        per_label[item.label] = per_label.get(item.label, 0) + 1
+    for label in split.labels:
+        per_label[label] = per_label.get(label, 0) + 1
     assert set(per_label.values()) == {16}
+
+
+def test_fewshot_gathers_label_major_record_indices(source):
+    # the record indices the per-image split objects held, for these arguments
+    split = make_fewshot_split(source, shots=3, seed=0)
+    assert split.indices.tolist() == [3, 10, 17, 59, 61, 74, 116, 122, 127, 162, 166, 169,
+                                      209, 215, 219, 263, 267, 270, 312, 314, 320, 366,
+                                      373, 375]
+    assert split.labels.tolist() == [label for label in range(8) for _ in range(3)]
 
 
 def test_fewshot_full_class_size(source):
     split = make_fewshot_split(source, shots=source.manifest.split.train, seed=1)
     for cid in source.manifest.split.base:
-        got = sorted(i.record_index for i in split.items if i.class_id == cid)
+        got = sorted(int(i) for i in split.indices if source.class_ids[i] == cid)
         assert got == source.pool_indices(cid, "train")
 
 
 def test_fewshot_seeds_differ(source):
     a = make_fewshot_split(source, shots=16, seed=0)
     b = make_fewshot_split(source, shots=16, seed=1)
-    assert [i.record_index for i in a.items] != [i.record_index for i in b.items]
+    assert list(a.indices) != list(b.indices)
 
 
 def test_fewshot_deterministic(source):
     a = make_fewshot_split(source, shots=16, seed=5)
     b = make_fewshot_split(source, shots=16, seed=5)
-    assert [i.record_index for i in a.items] == [i.record_index for i in b.items]
+    assert list(a.indices) == list(b.indices)
 
 
 def test_fewshot_never_touches_eval_pools(source):
@@ -166,7 +207,7 @@ def test_fewshot_never_touches_eval_pools(source):
     for cid in range(len(source.manifest.classes)):
         eval_indices.update(source.pool_indices(cid, "val"))
         eval_indices.update(source.pool_indices(cid, "test"))
-    assert not eval_indices & {i.record_index for i in split.items}
+    assert not eval_indices & {int(i) for i in split.indices}
 
 
 def test_fewshot_insufficient_samples(source):

@@ -25,12 +25,12 @@ def test_pretrain_rejects_bad_inputs():
     ds = generate_dataset(manifest)
     tok = Tokenizer.from_manifests([manifest])
     enc = DualEncoder(EncoderConfig(layers=1, width=16, heads=2, embed_dim=8), tok)
-    split = build_pretrain_split([ds], tok)
+    split = build_pretrain_split([ds], tok, 16)
     frozen = enc.clone_frozen()
     with pytest.raises(ValueError, match="frozen"):
         contrastive_pretrain(frozen, split)
-    empty = build_pretrain_split([ds], tok)
-    empty.examples = []
+    empty = build_pretrain_split([ds], tok, 16)
+    empty.images = []
     with pytest.raises(ValueError, match="empty"):
         contrastive_pretrain(enc, empty)
 
@@ -51,12 +51,11 @@ def test_large_tau_drives_loss_to_log_batch():
     tok = Tokenizer.from_manifests([manifest])
     enc = DualEncoder(EncoderConfig(layers=1, width=16, heads=2, embed_dim=8), tok)
     enc.weights["log_tau"].data = np.asarray(np.log(100.0))
-    split = build_pretrain_split([ds], tok)
+    split = build_pretrain_split([ds], tok, 16)
     b = 8
-    batch = split.examples[:b]
     with ad.no_grad():
-        img = np.stack([enc.encode_image(ex.pixels).data for ex in batch])
-        txt = np.stack([enc.encode_text(ex.captions[0]).data for ex in batch])
+        img = np.stack([enc.encode_image(pixels).data for pixels in split.images[:b]])
+        txt = np.stack([enc.encode_text(split.captions[c][0]).data for c in split.classes[:b]])
     logits = Tensor(img @ txt.T / enc.tau)
     ce = ad.cross_entropy_from_logits(logits, np.arange(b))
     assert ce.item() == pytest.approx(math.log(b), abs=5e-3)
@@ -69,7 +68,7 @@ def test_eight_class_retrieval_beats_twice_chance(tmp_path):
     assert len(manifest.classes) == 8
     ds = generate_dataset(manifest, str(tmp_path / "retr8"))
     tok = Tokenizer.from_manifests([manifest])
-    split = build_pretrain_split([ds], tok)
+    split = build_pretrain_split([ds], tok, 16)
     enc = DualEncoder(EncoderConfig(), tok, seed=0)
     # stratified batches of 8 over 64 examples: 8 steps/epoch, 25 epochs = 200 steps
     enc, hist = contrastive_pretrain(enc, split, epochs=25, lr=0.08, batch_size=8, seed=0)
@@ -83,8 +82,8 @@ def test_pretrain_steps_do_not_hold_each_others_graphs():
     manifest = build_family_manifest("mem8", ("crimson", "azure"), seed=5,
                                      split_counts=(1, 0, 0), base_count=8)
     tok = Tokenizer.from_manifests([manifest])
-    split = build_pretrain_split([generate_dataset(manifest)], tok)
-    assert len(split.examples) == 8  # batch 8: one epoch is one step
+    split = build_pretrain_split([generate_dataset(manifest)], tok, 16)
+    assert len(split.images) == 8  # batch 8: one epoch is one step
 
     def peak(epochs):
         enc = DualEncoder(EncoderConfig(), tok, seed=0)
@@ -127,6 +126,6 @@ def test_smoothed_loss_decreases_over_first_100_steps(pretrain_losses):
 def test_frozen_backbone_is_frozen(backbone, source):
     before = backbone.weight_fingerprint()
     with ad.no_grad():
-        backbone.encode_image(source.records[0].pixels)
+        backbone.encode_image(source.pixels[0])
     assert backbone.weight_fingerprint() == before
     assert backbone.frozen

@@ -287,7 +287,7 @@ def test_nonfinite_loss_aborts_with_step(mini):
 def test_empty_split_rejected(mini):
     backbone, ds, split = mini
     from dataclasses import replace
-    empty = replace(split, items=[])
+    empty = replace(split, indices=split.indices[:0], labels=split.labels[:0])
     with pytest.raises(ValueError, match="empty"):
         finetune(backbone, _cfg(), empty)
 
