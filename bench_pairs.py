@@ -8,7 +8,8 @@ the working tree and the git metadata are left alone. Pair i runs
 per side, and the side that goes first alternates. Per workload and
 end-to-end metric the file holds both sides' values, median, q1 and q3 and
 the pairs the change won or tied (direction from BENCHMARK.json); one
-`--trace 1` run at seed 1 per side adds the per-layer counts. Then, per
+`--trace 1` run at seed 1 per side adds the per-layer counts and each
+layer's self time as a percentage of its traced pass (`.self_pct`). Then, per
 side, a default CLI `gen-data`, `pretrain` (on the four families) and
 `finetune` (on `fields_a`) each run in a child process that reports its own
 wall seconds, max RSS and minor page faults (`e2e`). The two sides' suite,
@@ -144,7 +145,8 @@ def main(argv=None):
             result["per_layer_seed1"][workload] = {
                 side: {name: m["value"] for name, m in
                        bench(trees[side], workload, 1, 1)[1]["metrics"].items()
-                       if m["unit"] == "count"} for side in SIDES}
+                       if m["unit"] == "count" or name.endswith(".self_pct")}
+                for side in SIDES}
         datasets = json.dumps([f"e2e/suite/{f}" for f in FAMILIES])
         result["e2e"] = {side: {
             "gen-data": cli(trees[side], "gen-data", "--out", "e2e/suite"),

@@ -5,11 +5,25 @@ backed by numpy, gradients are exact enough to survive finite-difference
 checks at 1e-6 relative error, and graph recording is skipped entirely
 when no input requires gradients (so frozen/eval passes allocate nothing).
 
-`backward` leaves a gradient only on leaves (tensors created with
-`requires_grad=True`); an interior node's gradient is released as soon as
-its own backward has used it. A graph stays whole after a sweep and can be
-swept again, which adds to the leaves' gradients. The graph and its saved
-activations live as long as something refers to its output.
+A recorded op's output `Tensor` holds its `data` and points to a `_Node`,
+its vertex in the graph. A leaf (a tensor created with `requires_grad=True`)
+is its own vertex; a constant is no vertex and the graph does not keep it.
+Each op's backward keeps only the arrays it reads:
+- `matmul`, `mul` and `div` keep an operand's data only if the other operand
+  requires grad (`div` keeps its divisor whenever it is recorded);
+- `gelu` keeps its derivative, `relu` a bool mask, `exp` and `softmax` their
+  output, `power`, `log` and `l2_normalize` their input, `layernorm` the
+  normalized input and the inverse deviation;
+- `add`, `neg`, `reshape`, `transpose`, `concat`, `slice_`, `broadcast_to`,
+  `sum_` and `embedding_lookup` keep no array.
+So an intermediate's data is freed once the caller drops its tensor, unless
+a backward reads it. Which operands need a gradient is settled when an op is
+recorded: flipping a leaf's `requires_grad` between recording and `backward`
+is not supported.
+
+`backward` leaves a gradient only on leaves; an interior node's gradient is
+released as soon as its own backward has used it. A graph stays whole after
+a sweep and can be swept again, which adds to the leaves' gradients.
 """
 
 from __future__ import annotations
@@ -60,15 +74,37 @@ class Tensor:
     sanctioned mutator is the optimizer, which owns its parameters.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_seq")
+    __slots__ = ("data", "requires_grad", "_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.array(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents = ()
-        self._backward = None
-        self._seq = 0
+        self._grad = None
+        self._node = None
+
+    # a recorded op's output reads and writes these through its node
+    @property
+    def grad(self):
+        return self._grad if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self._node is None:
+            self._grad = g
+        else:
+            self._node.grad = g
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node._backward = fn
 
     @property
     def shape(self):
@@ -146,6 +182,30 @@ def _wrap(value):
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+class _Node:
+    """A recorded op's vertex: its parent vertices, backward closure, creation
+    order and gradient slot. It keeps its output's shape, not its data; only
+    an output that is not C-contiguous (a broadcast view) is kept, as
+    `_layout`, so that a gradient is laid out as np.empty_like(data) would."""
+
+    __slots__ = ("_parents", "_backward", "_seq", "grad", "shape", "_layout")
+
+    def __init__(self, parents, backward, seq, data):
+        self._parents = parents
+        self._backward = backward
+        self._seq = seq
+        self.grad = None
+        self.shape = data.shape
+        self._layout = None if data.flags.c_contiguous else data
+
+
+def _vertex(t):
+    """Where `t`'s gradient goes: its node, itself for a leaf, None for a constant."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
 _seq_counter = 0
 
 
@@ -158,35 +218,33 @@ def _from_op(data, parents, backward):
     global _seq_counter
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    if records(parents):
+    out._grad = None
+    out._node = None
+    out.requires_grad = records(parents)
+    if out.requires_grad:
         _seq_counter += 1
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
-        out._seq = _seq_counter
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
-        out._seq = 0
+        vertices = tuple(v for v in map(_vertex, parents) if v is not None)
+        out._node = _Node(vertices, backward, _seq_counter, data)
     return out
 
 
-def _accumulate(t, g):
-    """Hand gradient `g` to `t`. The first one is kept by reference, later
-    ones are summed into a new array: gradient arrays may be shared between
-    tensors, so none is ever written in place. A stored gradient has the
-    memory layout of `t.data`, so a reduction over it sums in one fixed
-    order whichever op produced it."""
-    if not t.requires_grad:
+def _accumulate(v, g):
+    """Hand gradient `g` to vertex `v`; a constant (None) takes nothing. The
+    first one is kept by reference, later ones are summed into a new array:
+    gradient arrays may be shared between tensors, so none is ever written in
+    place. A stored gradient has the memory layout np.empty_like gives the
+    vertex's data, so a reduction over it sums in one fixed order whichever op
+    produced it."""
+    if v is None:
         return
-    if g.shape != t.data.shape:
-        raise GradError(f"backward: gradient of shape {g.shape} for a tensor of shape {t.shape}")
-    if t.grad is None and g.flags.c_contiguous and t.data.flags.c_contiguous:
-        t.grad = g
+    if g.shape != v.shape:
+        raise GradError(f"backward: gradient of shape {g.shape} for a tensor of shape {v.shape}")
+    like = v.data if isinstance(v, Tensor) else v._layout
+    if v.grad is None and g.flags.c_contiguous and (like is None or like.flags.c_contiguous):
+        v.grad = g
     else:
-        t.grad = np.add(0.0 if t.grad is None else t.grad, g, out=np.empty_like(t.data))
+        out = np.empty(v.shape) if like is None else np.empty_like(like)
+        v.grad = np.add(0.0 if v.grad is None else v.grad, g, out=out)
 
 
 def _unbroadcast(g, shape):
@@ -214,34 +272,31 @@ def backward(loss):
     backward has handed it on, so after the sweep only leaves hold one, and
     the sweep's gradient memory is live only between a node's first
     gradient and its own turn. The graph is left intact (each node keeps
-    its parents and the activations its backward reads), so it can be swept
+    its parents and the arrays its backward reads), so it can be swept
     again. The reset before the sweep is kept for a sweep that raised
     partway (say, a `GradError` from a misshapen gradient): the interior
     nodes it had handed a gradient but not yet reached still hold it.
     """
     if loss.data.size != 1:
         raise GradError(f"backward requires a scalar loss, got shape {loss.shape}")
+    root = loss._node
+    if root is None:
+        _accumulate(_vertex(loss), np.ones_like(loss.data))
+        return
 
-    reachable = []
-    visited = set()
-    stack = [loss]
+    interior, seen, stack = [], {id(root)}, [root]
     while stack:
         node = stack.pop()
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        reachable.append(node)
-        stack.extend(node._parents)
+        interior.append(node)
+        for parent in node._parents:
+            if isinstance(parent, _Node) and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
 
-    interior = [n for n in reachable if n._parents]
     interior.sort(key=lambda n: n._seq, reverse=True)
     for node in interior:
         node.grad = None
-
-    if loss._parents:
-        loss.grad = np.ones_like(loss.data)
-    else:
-        _accumulate(loss, np.ones_like(loss.data))
+    root.grad = np.ones_like(loss.data)
 
     for node in interior:
         g, node.grad = node.grad, None
@@ -251,6 +306,9 @@ def backward(loss):
 
 # ---------------------------------------------------------------------------
 # primitive ops
+#
+# A backward closure refers to its operands through their vertices (None for
+# a constant) and to no array but those it reads.
 
 
 def _broadcast_op(op, ufunc, x, y):
@@ -264,30 +322,35 @@ def _broadcast_op(op, ufunc, x, y):
 def add(a, b):
     a, b = _wrap(a), _wrap(b)
     data = _broadcast_op("add", np.add, a.data, b.data)
+    va, vb = _vertex(a), _vertex(b)
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if va is not None:
+            _accumulate(va, _unbroadcast(g, va.shape))
+        if vb is not None:
+            _accumulate(vb, _unbroadcast(g, vb.shape))
 
     return _from_op(data, (a, b), bw)
 
 
 def neg(a):
     a = _wrap(a)
-
-    def bw(g):
-        _accumulate(a, -g)
-
-    return _from_op(-a.data, (a,), bw)
+    va = _vertex(a)
+    return _from_op(-a.data, (a,), lambda g: _accumulate(va, -g))
 
 
 def mul(a, b):
     a, b = _wrap(a), _wrap(b)
     data = _broadcast_op("mul", np.multiply, a.data, b.data)
+    va, vb = _vertex(a), _vertex(b)
+    a_data = None if vb is None else a.data
+    b_data = None if va is None else b.data
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if va is not None:
+            _accumulate(va, _unbroadcast(g * b_data, va.shape))
+        if vb is not None:
+            _accumulate(vb, _unbroadcast(g * a_data, vb.shape))
 
     return _from_op(data, (a, b), bw)
 
@@ -295,10 +358,14 @@ def mul(a, b):
 def div(a, b):
     a, b = _wrap(a), _wrap(b)
     data = _broadcast_op("div", np.divide, a.data, b.data)
+    va, vb = _vertex(a), _vertex(b)
+    a_data, b_data = None if vb is None else a.data, b.data
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if va is not None:
+            _accumulate(va, _unbroadcast(g / b_data, va.shape))
+        if vb is not None:
+            _accumulate(vb, _unbroadcast(-g * a_data / (b_data * b_data), vb.shape))
 
     return _from_op(data, (a, b), bw)
 
@@ -308,12 +375,8 @@ def power(a, p):
     p = float(p)
     if p != int(p) and np.any(a.data < 0):
         raise DomainError(f"pow: fractional exponent {p} on negative input")
-    data = a.data ** p
-
-    def bw(g):
-        _accumulate(a, g * p * a.data ** (p - 1.0))
-
-    return _from_op(data, (a,), bw)
+    a_data, va = a.data, _vertex(a)
+    return _from_op(a_data ** p, (a,), lambda g: _accumulate(va, g * p * a_data ** (p - 1.0)))
 
 
 def matmul(a, b, bias=None):
@@ -322,27 +385,31 @@ def matmul(a, b, bias=None):
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     data = np.matmul(a.data, b.data)
-    parents = (a, b)
+    parents, vbias = (a, b), None
     if bias is not None:
         bias = _wrap(bias)
         try:
             np.add(data, bias.data, out=data)
         except ValueError:
             raise ShapeError(f"matmul: cannot broadcast bias {bias.shape} to {data.shape}") from None
-        parents = (a, b, bias)
+        parents, vbias = (a, b, bias), _vertex(bias)
+    va, vb = _vertex(a), _vertex(b)
+    a_data = None if vb is None else a.data
+    b_data = None if va is None else b.data
+    # a weight shared across a batch: one flat product sums the batch
+    flat = b.ndim == 2 and a.ndim > 2
 
     def bw(g):
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, _unbroadcast(g, bias.data.shape))
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        if not b.requires_grad:
+        if vbias is not None:
+            _accumulate(vbias, _unbroadcast(g, vbias.shape))
+        if va is not None:
+            _accumulate(va, _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), va.shape))
+        if vb is None:
             return
-        if b.ndim == 2 and a.ndim > 2:
-            # a weight shared across a batch: one flat product sums the batch
-            _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        if flat:
+            _accumulate(vb, a_data.reshape(-1, a_data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
         else:
-            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+            _accumulate(vb, _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), vb.shape))
 
     return _from_op(data, parents, bw)
 
@@ -350,14 +417,12 @@ def matmul(a, b, bias=None):
 def sum_(a, axis=None, keepdims=False):
     a = _wrap(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    va = _vertex(a)
 
     def bw(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(va, np.broadcast_to(g, va.shape).copy())
 
     return _from_op(np.asarray(data, dtype=np.float64), (a,), bw)
 
@@ -383,10 +448,11 @@ def concat(tensors, axis=0):
         ) from None
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
+    vertices = [_vertex(t) for t in tensors]
 
     def bw(g):
-        for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
-            _accumulate(t, piece)
+        for v, piece in zip(vertices, np.split(g, offsets, axis=axis)):
+            _accumulate(v, piece)
 
     return _from_op(data, tuple(tensors), bw)
 
@@ -401,14 +467,15 @@ def slice_(a, idx):
     data = np.array(a.data[idx])
     parts = idx if isinstance(idx, tuple) else (idx,)
     advanced = any(isinstance(i, (list, np.ndarray)) for i in parts)
+    va = _vertex(a)
 
     def bw(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(va.shape)
         if advanced:
             np.add.at(ga, idx, g)
         else:
             ga[idx] = g
-        _accumulate(a, ga)
+        _accumulate(va, ga)
 
     return _from_op(data, (a,), bw)
 
@@ -420,11 +487,8 @@ def broadcast_to(a, shape):
         data = np.broadcast_to(a.data, shape)
     except ValueError:
         raise ShapeError(f"broadcast_to: cannot broadcast {a.shape} to {tuple(shape)}") from None
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-
-    return _from_op(data, (a,), bw)
+    va = _vertex(a)
+    return _from_op(data, (a,), lambda g: _accumulate(va, _unbroadcast(g, va.shape)))
 
 
 def embedding_lookup(table, ids):
@@ -433,86 +497,72 @@ def embedding_lookup(table, ids):
     if np.any(ids < 0) or np.any(ids >= table.data.shape[0]):
         raise DomainError(f"embedding_lookup: index out of range for table of {table.data.shape[0]} rows")
     data = table.data[ids]
+    vt = _vertex(table)
 
     def bw(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(vt.shape)
         np.add.at(gt, ids, g)
-        _accumulate(table, gt)
+        _accumulate(vt, gt)
 
     return _from_op(data, (table,), bw)
 
 
 def reshape(a, shape):
     a = _wrap(a)
-    data = a.data.reshape(shape)
-
-    def bw(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _from_op(data, (a,), bw)
+    va = _vertex(a)
+    return _from_op(a.data.reshape(shape), (a,), lambda g: _accumulate(va, g.reshape(va.shape)))
 
 
 def transpose(a, axes):
     a = _wrap(a)
     data = np.transpose(a.data, axes).copy()
     inverse = np.argsort(axes)
-
-    def bw(g):
-        _accumulate(a, np.transpose(g, inverse))
-
-    return _from_op(data, (a,), bw)
+    va = _vertex(a)
+    return _from_op(data, (a,), lambda g: _accumulate(va, np.transpose(g, inverse)))
 
 
 def relu(a):
     a = _wrap(a)
     data = np.maximum(a.data, 0.0)
-
-    def bw(g):
-        _accumulate(a, g * (a.data > 0.0))
-
-    return _from_op(data, (a,), bw)
+    if not records((a,)):
+        return _from_op(data, (a,), None)
+    mask, va = a.data > 0.0, _vertex(a)
+    return _from_op(data, (a,), lambda g: _accumulate(va, g * mask))
 
 
 def gelu(a):
     a = _wrap(a)
+    x = a.data
     # scipy's erf(x) is -erf(-x) bit for bit (-0.0 included), so erf runs on
     # |x| and np.copysign restores the sign: the same values, without a
     # branch per sign that mispredicts on zero-mean activations
-    cdf = np.abs(a.data)
+    cdf = np.abs(x)
     cdf *= _INV_SQRT2
     erf(cdf, out=cdf)
-    np.copysign(cdf, a.data, out=cdf)
+    np.copysign(cdf, x, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    data = a.data * cdf
-
-    def bw(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-        _accumulate(a, g * (cdf + a.data * pdf))
-
-    return _from_op(data, (a,), bw)
+    data = x * cdf
+    if not records((a,)):
+        return _from_op(data, (a,), None)
+    # the backward reads only the derivative, not x and cdf
+    deriv, va = cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x)), _vertex(a)
+    return _from_op(data, (a,), lambda g: _accumulate(va, g * deriv))
 
 
 def exp(a):
     a = _wrap(a)
     data = np.exp(a.data)
-
-    def bw(g):
-        _accumulate(a, g * data)
-
-    return _from_op(data, (a,), bw)
+    va = _vertex(a)
+    return _from_op(data, (a,), lambda g: _accumulate(va, g * data))
 
 
 def log(a):
     a = _wrap(a)
     if np.any(a.data <= 0.0):
         raise DomainError("log: input must be strictly positive")
-    data = np.log(a.data)
-
-    def bw(g):
-        _accumulate(a, g / a.data)
-
-    return _from_op(data, (a,), bw)
+    a_data, va = a.data, _vertex(a)
+    return _from_op(np.log(a_data), (a,), lambda g: _accumulate(va, g / a_data))
 
 
 def softmax(a, axis=-1):
@@ -520,10 +570,11 @@ def softmax(a, axis=-1):
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
+    va = _vertex(a)
 
     def bw(g):
         inner = (g * data).sum(axis=axis, keepdims=True)
-        _accumulate(a, data * (g - inner))
+        _accumulate(va, data * (g - inner))
 
     return _from_op(data, (a,), bw)
 
@@ -538,26 +589,30 @@ def layernorm(a, gamma=None, beta=None, axis=-1, eps=LAYERNORM_EPSILON):
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     data, parents = xhat, [a]
+    va, vgamma, vbeta, gamma_data = _vertex(a), None, None, None
     if gamma is not None:
         gamma = _wrap(gamma)
         data = _broadcast_op("layernorm", np.multiply, xhat, gamma.data)
         parents.append(gamma)
+        vgamma, gamma_data = _vertex(gamma), gamma.data
     if beta is not None:
         beta = _wrap(beta)
         data = _broadcast_op("layernorm", np.add, data, beta.data)
         parents.append(beta)
+        vbeta = _vertex(beta)
 
     def bw(g):
-        if beta is not None and beta.requires_grad:
-            _accumulate(beta, _unbroadcast(g, beta.data.shape))
-        if gamma is not None:
-            if gamma.requires_grad:
-                _accumulate(gamma, _unbroadcast(g * xhat, gamma.data.shape))
-            g = _unbroadcast(g * gamma.data, xhat.shape)
-        if a.requires_grad:
-            gm = g.mean(axis=axis, keepdims=True)
-            gx = (g * xhat).mean(axis=axis, keepdims=True)
-            _accumulate(a, inv * (g - gm - xhat * gx))
+        if vbeta is not None:
+            _accumulate(vbeta, _unbroadcast(g, vbeta.shape))
+        if vgamma is not None:
+            _accumulate(vgamma, _unbroadcast(g * xhat, vgamma.shape))
+        if va is None:
+            return
+        if gamma_data is not None:
+            g = _unbroadcast(g * gamma_data, xhat.shape)
+        gm = g.mean(axis=axis, keepdims=True)
+        gx = (g * xhat).mean(axis=axis, keepdims=True)
+        _accumulate(va, inv * (g - gm - xhat * gx))
 
     return _from_op(data, tuple(parents), bw)
 
@@ -565,15 +620,15 @@ def layernorm(a, gamma=None, beta=None, axis=-1, eps=LAYERNORM_EPSILON):
 def l2_normalize(a, axis=-1, eps=L2_EPSILON):
     """x / sqrt(sum(x^2) + eps); zero vectors map to zero, never NaN."""
     a = _wrap(a)
-    sq = (a.data * a.data).sum(axis=axis, keepdims=True)
+    a_data, va = a.data, _vertex(a)
+    sq = (a_data * a_data).sum(axis=axis, keepdims=True)
     norm = np.sqrt(sq + eps)
-    data = a.data / norm
 
     def bw(g):
-        dot = (g * a.data).sum(axis=axis, keepdims=True)
-        _accumulate(a, g / norm - a.data * dot / (norm * norm * norm))
+        dot = (g * a_data).sum(axis=axis, keepdims=True)
+        _accumulate(va, g / norm - a_data * dot / (norm * norm * norm))
 
-    return _from_op(data, (a,), bw)
+    return _from_op(a_data / norm, (a,), bw)
 
 
 def cosine_similarity(a, b, axis=-1):
@@ -611,13 +666,14 @@ def cross_entropy_from_logits(logits, labels):
     rows = np.arange(z.shape[0])
     losses = lse - shifted[rows, lab]
     data = np.float64(losses.mean())
+    vl, single = _vertex(logits), logits.ndim == 1
 
     def bw(g):
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
         p[rows, lab] -= 1.0
-        p *= float(g) / z.shape[0]
-        _accumulate(logits, p[0] if logits.ndim == 1 else p)
+        p *= float(g) / len(rows)
+        _accumulate(vl, p[0] if single else p)
 
     return _from_op(np.asarray(data), (logits,), bw)
 

@@ -277,7 +277,7 @@ def cmd_eval(raw):
 
     if protocol == "base_to_novel":
         ds = Dataset.load(_require_dir(_eval_needs(cfg, "dataset"), "dataset"))
-        report = base_to_novel_eval(model, ds, fingerprint=ckpt)
+        report = base_to_novel_eval(model, ds)
         write_eval_outputs(out, "base_to_novel",
                            [[report.base_acc, report.novel_acc, report.hm]],
                            ["base", "novel", "hm"])
@@ -391,7 +391,7 @@ def _run_job(payload):
     split = make_fewshot_split(dataset, cfg.shots, cfg.seed)
     result = finetune(backbone, cfg, split, out_dir=payload["out"],
                       backbone_ref=payload["backbone"])
-    report = base_to_novel_eval(result.model, dataset, fingerprint=payload["out"])
+    report = base_to_novel_eval(result.model, dataset)
     _echo_config(payload["out"], {
         "backbone": payload["backbone"], "dataset": payload["dataset"],
         "train": cfg.to_dict(), "dataset_hash": dataset.content_hash,

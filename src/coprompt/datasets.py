@@ -423,24 +423,7 @@ def build_default_suite(root, seed=7, source_counts=(24, 4, 24), target_counts=(
 
 
 # ---------------------------------------------------------------------------
-# helpers used by tests and harnesses
-
-
-def nearest_centroid_accuracy(dataset: Dataset, class_ids=None):
-    """Pixel-space nearest-centroid accuracy: train centroids, test queries."""
-    if class_ids is None:
-        class_ids = [c.id for c in dataset.manifest.classes]
-    flat = dataset.pixels.reshape(len(dataset.pixels), -1)
-    centroids = np.stack([np.mean(flat[dataset.pool_indices(cid, "train")], axis=0)
-                          for cid in class_ids])
-    correct = total = 0
-    for pos, cid in enumerate(class_ids):
-        for i in dataset.pool_indices(cid, "test"):
-            v = flat[i]
-            pred = int(np.argmin(((centroids - v) ** 2).sum(axis=1)))
-            correct += pred == pos
-            total += 1
-    return correct / total
+# inspection
 
 
 def export_ppm(dataset: Dataset, out_dir, per_class=1):

@@ -223,10 +223,6 @@ class DualEncoder:
         for t in self.weights.values():
             t.requires_grad = not frozen
 
-    def clone_frozen(self):
-        return DualEncoder._holding(self.config, self.tokenizer,
-                                    {name: Tensor(t.data) for name, t in self.weights.items()})
-
     @property
     def tau(self):
         return float(np.exp(self.weights["log_tau"].item()))

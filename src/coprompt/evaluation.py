@@ -30,7 +30,6 @@ class EvalReport(Record):
     novel_acc: float
     hm: float
     per_class: dict = field(default_factory=dict)
-    config_fingerprint: str = ""
     split_ids: dict = field(default_factory=dict)
 
 
@@ -102,7 +101,7 @@ def _pool_accuracy(model, dataset: Dataset, class_ids, pool="test"):
     return overall, per_class
 
 
-def base_to_novel_eval(model, dataset: Dataset, fingerprint="") -> EvalReport:
+def base_to_novel_eval(model, dataset: Dataset) -> EvalReport:
     """Accuracy on held-out base images and on novel images, plus HM."""
     split = dataset.manifest.split
     if set(split.base) & set(split.novel):
@@ -114,7 +113,7 @@ def base_to_novel_eval(model, dataset: Dataset, fingerprint="") -> EvalReport:
     return EvalReport(
         base_acc=base_acc, novel_acc=novel_acc,
         hm=harmonic_mean(base_acc, novel_acc),
-        per_class=per_class, config_fingerprint=fingerprint,
+        per_class=per_class,
         split_ids={"dataset": dataset.manifest.name,
                    "base": list(split.base), "novel": list(split.novel)})
 

@@ -1,9 +1,11 @@
-"""Shared test oracles: central finite differences against analytic grads."""
+"""Shared test oracles (central finite differences against analytic grads)
+and helpers only tests call."""
 
 import numpy as np
 
 import coprompt.autodiff as ad
 from coprompt.autodiff import Tensor
+from coprompt.encoders import DualEncoder
 
 
 def finite_diff_grad(f, arrays, h=1e-5):
@@ -54,3 +56,26 @@ def assert_grads_match(build, arrays, rtol=1e-6, h=1e-5):
 def random_projection(rng, shape):
     """Fixed random linear functional to reduce a non-scalar op to a scalar."""
     return Tensor(rng.normal(size=shape))
+
+
+def clone_frozen(enc):
+    """A frozen encoder over copies of `enc`'s weights."""
+    return DualEncoder._holding(enc.config, enc.tokenizer,
+                                {name: Tensor(t.data) for name, t in enc.weights.items()})
+
+
+def nearest_centroid_accuracy(dataset, class_ids=None):
+    """Pixel-space nearest-centroid accuracy: train centroids, test queries."""
+    if class_ids is None:
+        class_ids = [c.id for c in dataset.manifest.classes]
+    flat = dataset.pixels.reshape(len(dataset.pixels), -1)
+    centroids = np.stack([np.mean(flat[dataset.pool_indices(cid, "train")], axis=0)
+                          for cid in class_ids])
+    correct = total = 0
+    for pos, cid in enumerate(class_ids):
+        for i in dataset.pool_indices(cid, "test"):
+            v = flat[i]
+            pred = int(np.argmin(((centroids - v) ** 2).sum(axis=1)))
+            correct += pred == pos
+            total += 1
+    return correct / total

@@ -1,6 +1,7 @@
 """Op semantics, backward contracts, SGD, and tensor files."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -203,6 +204,30 @@ def test_backward_keeps_only_leaf_gradients_and_the_graph():
     backward(loss)
     assert np.array_equal(x.grad, 2 * first[0]) and np.array_equal(w.grad, 2 * first[1])
     assert all(n.grad is None for n in interior)
+
+
+def test_an_array_no_backward_reads_is_freed_with_its_tensor():
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    r = Tensor(rng.normal(size=(6, 3)))
+
+    def sweep(keep):
+        y = ad.matmul(x, w)
+        flat = ad.reshape(y, (6, 3))  # its backward reads no array
+        loss = (ad.gelu(flat) * r).sum()  # gelu's backward reads its derivative only
+        alive = weakref.ref(y.data)
+        held = (y, flat) if keep else ()
+        del y, flat
+        assert (alive() is not None) == keep
+        x.zero_grad()
+        w.zero_grad()
+        backward(loss)
+        assert len(held) == (2 if keep else 0)
+        return x.grad, w.grad
+
+    kept, freed = sweep(True), sweep(False)
+    assert np.array_equal(kept[0], freed[0]) and np.array_equal(kept[1], freed[1])
 
 
 def test_a_sweep_that_raised_leaves_no_stale_gradient():

@@ -185,6 +185,20 @@ def test_eval_zero_step_checkpoint_equals_backbone(rig, tmp_path):
     assert a["novel_acc"] == b["novel_acc"]
 
 
+def test_eval_report_does_not_depend_on_where_the_checkpoint_is(rig, tmp_path):
+    root, suite_dir, bb_dir = rig
+    reports = []
+    for where in ("a", "b/deeper"):
+        ckpt = tmp_path / where / "bb"
+        shutil.copytree(bb_dir, ckpt)
+        ev = _write(tmp_path / where / "e.json", {
+            "checkpoint": str(ckpt), "protocol": "base_to_novel",
+            "dataset": str(suite_dir / "fields_a"), "out": str(tmp_path / where / "ev")})
+        assert main(["eval", "--config", ev]) == 0
+        reports.append((tmp_path / where / "ev" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def _flip_tensor_byte(ft, bb, ds):
     victim = next((ft / "tuned").glob("*.bin"))
     data = bytearray(victim.read_bytes())

@@ -14,9 +14,10 @@ from coprompt.datasets import (
     generate_dataset,
     make_fewshot_split,
     make_shifted_variant,
-    nearest_centroid_accuracy,
 )
 from coprompt.encoders import Tokenizer
+
+from helpers import nearest_centroid_accuracy
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,8 @@ from coprompt.encoders import (
     save_backbone,
 )
 
+from helpers import clone_frozen
+
 
 @pytest.fixture(scope="module")
 def tok():
@@ -162,7 +164,7 @@ def test_vision_prompts_enter_image_branch(enc):
 
 
 def test_clone_frozen_is_deep_and_idempotent(enc):
-    clone = enc.clone_frozen()
+    clone = clone_frozen(enc)
     assert clone.frozen
     before = {n: t.data.copy() for n, t in clone.param_items()}
     # mutate the original; the clone must not move
@@ -172,12 +174,12 @@ def test_clone_frozen_is_deep_and_idempotent(enc):
         assert np.array_equal(t.data, before[n])
     for _, t in enc.param_items():
         t.data = t.data - 1.0
-    clone2 = clone.clone_frozen()
+    clone2 = clone_frozen(clone)
     assert clone2.weight_fingerprint() == clone.weight_fingerprint()
 
 
 def test_frozen_forward_records_no_graph(enc, tok):
-    frozen = enc.clone_frozen()
+    frozen = clone_frozen(enc)
     out = frozen.encode_text(tok.encode("a photo of dots"))
     assert out._parents == ()
     assert not out.requires_grad
@@ -193,7 +195,7 @@ def test_trainable_forward_records_graph(tok):
 
 
 def test_backbone_checkpoint_roundtrip(tmp_path, enc, tok):
-    frozen = enc.clone_frozen()
+    frozen = clone_frozen(enc)
     h1 = save_backbone(str(tmp_path / "bb"), frozen)
     again = load_backbone(str(tmp_path / "bb"))
     assert again.frozen
@@ -207,7 +209,7 @@ def test_backbone_checkpoint_roundtrip(tmp_path, enc, tok):
 
 
 def test_load_backbone_draws_no_random_numbers(tmp_path, enc, monkeypatch):
-    frozen = enc.clone_frozen()
+    frozen = clone_frozen(enc)
     for t in frozen.weights.values():  # f32 values: the saved copy is exact
         t.data = t.data.astype(np.float32).astype(np.float64)
     save_backbone(str(tmp_path / "bb"), frozen)
@@ -223,7 +225,7 @@ def test_load_backbone_draws_no_random_numbers(tmp_path, enc, monkeypatch):
 
 
 def test_backbone_checkpoint_detects_corruption(tmp_path, enc):
-    save_backbone(str(tmp_path / "bb"), enc.clone_frozen())
+    save_backbone(str(tmp_path / "bb"), clone_frozen(enc))
     victim = tmp_path / "bb" / "text.tok_emb.bin"
     data = bytearray(victim.read_bytes())
     data[0] ^= 0xFF

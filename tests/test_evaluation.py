@@ -20,6 +20,8 @@ from coprompt.evaluation import (
     render_table,
 )
 
+from helpers import clone_frozen
+
 
 class StubTokenizer:
     def __init__(self, names):
@@ -141,7 +143,7 @@ def suite(tmp_path_factory):
 def frozen(suite):
     tok = Tokenizer.from_manifests([suite[k].manifest for k in
                                     ("fields_a", "fields_b", "fields_c", "fields_d")])
-    return DualEncoder(EncoderConfig(), tok, seed=0).clone_frozen()
+    return clone_frozen(DualEncoder(EncoderConfig(), tok, seed=0))
 
 
 def _chance_bands(dataset):
@@ -233,7 +235,7 @@ def test_cross_dataset_empty_targets(frozen):
 def test_cross_dataset_vocabulary_miss(suite, tmp_path):
     # a backbone whose vocabulary never saw the target family's class names
     tok = Tokenizer.from_manifests([suite["fields_a"].manifest])
-    narrow = DualEncoder(EncoderConfig(), tok, seed=0).clone_frozen()
+    narrow = clone_frozen(DualEncoder(EncoderConfig(), tok, seed=0))
     with pytest.raises(VocabularyError, match="amber"):
         cross_dataset_eval(narrow, "fields_a", [suite["fields_b"]])
 

@@ -2,6 +2,8 @@
 `layernorm` compute exactly what the separate ops compute, and the graph a
 block and a fine-tune step record stays at a pinned size."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,26 @@ def test_block_node_count(tok):
     _, fused = _counted(lambda: enc._block("text", 0, x))
     _, composed = _counted(lambda: _composed_block(enc, "text", 0, x))
     assert (fused, composed) == (BLOCK_NODES, COMPOSED_BLOCK_NODES)
+
+
+@pytest.mark.parametrize("frozen, most", [(False, 19.0), (True, 12.0)])
+def test_block_graph_keeps_only_what_backward_reads(tok, frozen, most):
+    """Bytes a recorded block holds, in units of its (8, 18, 64) input. The
+    arrays its backward reads come to about 18.1 units: both layernorm outputs
+    and normalized inputs, q, k, v, the attention weights and output, GELU's
+    derivative and output, and the block's own output. With frozen weights the
+    dense layers' inputs are not kept: about 11.1. Keeping every op's
+    operands would hold 31.6 either way."""
+    enc = DualEncoder(EncoderConfig(), tok, seed=0, frozen=frozen)
+    x = Tensor(np.random.default_rng(0).normal(size=(8, 18, 64)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = enc._block("img", 0, x)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert retained <= most * x.data.nbytes
 
 
 def test_train_step_node_count(source):

@@ -54,6 +54,26 @@ def test_grad_matmul(rng):
 
 
 @pytest.mark.parametrize("rng", _rngs())
+def test_grad_one_operand_needs_grad(rng):
+    # a recorded op keeps only the operand data the other's gradient reads
+    x = rng.normal(size=(2, 3, 4))
+    w = rng.normal(size=(4, 5))
+    r = rng.normal(size=(2, 3, 5))
+    frozen, patches = Tensor(w), Tensor(x)
+    for act in (lambda t: t, ad.gelu, ad.relu):
+        # a frozen weight, as in fine-tuning
+        assert_grads_match(lambda ts: (act(ad.matmul(ts[0], frozen)) * Tensor(r)).sum(), [x])
+        # a constant left operand, as in the patch embedding
+        assert_grads_match(lambda ts: (act(ad.matmul(patches, ts[0])) * Tensor(r)).sum(), [w])
+    assert frozen.grad is None and patches.grad is None
+    b = rng.uniform(0.5, 2.0, size=4)
+    divisor, dividend = Tensor(b), Tensor(x)
+    assert_grads_match(lambda ts: ((ts[0] / divisor) * Tensor(x)).sum(), [x])
+    assert_grads_match(lambda ts: ((dividend / ts[0]) * Tensor(x)).sum(), [b])
+    assert divisor.grad is None and dividend.grad is None
+
+
+@pytest.mark.parametrize("rng", _rngs())
 def test_grad_layernorm_gain_shift(rng):
     a = rng.normal(size=(2, 3, 6)) * 2
     gamma = rng.normal(size=6)

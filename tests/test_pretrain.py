@@ -18,6 +18,8 @@ from coprompt.encoders import (
     retrieval_accuracy,
 )
 
+from helpers import clone_frozen
+
 
 def test_pretrain_rejects_bad_inputs():
     manifest = build_family_manifest("t", ("crimson",), seed=0, split_counts=(2, 1, 1),
@@ -26,7 +28,7 @@ def test_pretrain_rejects_bad_inputs():
     tok = Tokenizer.from_manifests([manifest])
     enc = DualEncoder(EncoderConfig(layers=1, width=16, heads=2, embed_dim=8), tok)
     split = build_pretrain_split([ds], tok, 16)
-    frozen = enc.clone_frozen()
+    frozen = clone_frozen(enc)
     with pytest.raises(ValueError, match="frozen"):
         contrastive_pretrain(frozen, split)
     empty = build_pretrain_split([ds], tok, 16)

@@ -21,7 +21,7 @@ from coprompt.training import (
     total_loss,
 )
 
-from helpers import assert_grads_match
+from helpers import assert_grads_match, clone_frozen
 
 
 def _unit(rng, n):
@@ -132,7 +132,7 @@ def mini():
     tok = Tokenizer.from_manifests([manifest])
     enc = DualEncoder(EncoderConfig(layers=2, width=32, heads=2, embed_dim=16),
                       tok, seed=5)
-    backbone = enc.clone_frozen()
+    backbone = clone_frozen(enc)
     split = make_fewshot_split(ds, shots=4, seed=0)
     return backbone, ds, split
 
@@ -311,8 +311,8 @@ def test_checkpoint_roundtrip_and_backbone_guard(mini, tmp_path):
             [(n, t.data) for n, t in __import__("coprompt.tuning", fromlist=["trainable_parameters"]).trainable_parameters(model.prompt_set, model.adapters)]):
         assert np.array_equal(t1, t2), n1
 
-    wrong = DualEncoder(EncoderConfig(layers=2, width=32, heads=2, embed_dim=16),
-                        backbone.tokenizer, seed=99).clone_frozen()
+    wrong = clone_frozen(DualEncoder(EncoderConfig(layers=2, width=32, heads=2, embed_dim=16),
+                                     backbone.tokenizer, seed=99))
     with pytest.raises(CheckpointError, match="fingerprint"):
         load_finetune_checkpoint(out, backbone=wrong)
 

@@ -14,7 +14,7 @@ from coprompt.tuning import (
     trainable_parameters,
 )
 
-from helpers import assert_grads_match
+from helpers import assert_grads_match, clone_frozen
 
 
 def _unit(rng, n=32):
@@ -128,8 +128,8 @@ def test_schedules_empty_for_m0():
 def test_gradient_flows_into_text_prompts_through_coupler():
     """Image-branch loss must reach the text prompts via the coupler."""
     tok = Tokenizer(["photo"])
-    enc = DualEncoder(EncoderConfig(layers=2, width=16, heads=2, embed_dim=8,
-                                    text_len=8), tok, seed=1).clone_frozen()
+    enc = clone_frozen(DualEncoder(EncoderConfig(layers=2, width=16, heads=2, embed_dim=8,
+                                                 text_len=8), tok, seed=1))
     ps = PromptSet(width=16, layers=2, m=2, rng=np.random.default_rng(13))
     img = np.random.default_rng(14).uniform(0, 1, (32, 32, 3))
 
