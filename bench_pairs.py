@@ -9,19 +9,24 @@ per side, and the side that goes first alternates. Per workload and
 end-to-end metric the file holds both sides' values, median, q1 and q3 and
 the pairs the change won or tied (direction from BENCHMARK.json); one
 `--trace 1` run at seed 1 per side adds the per-layer counts and each
-layer's self time as a percentage of its traced pass (`.self_pct`). Then, per
-side, a default CLI `gen-data`, `pretrain` (on the four families) and
-`finetune` (on `fields_a`) each run in a child process that reports its own
-wall seconds, max RSS and minor page faults (`e2e`). The two sides' suite,
+layer's self time as a percentage of its traced pass (`.self_pct`). The
+`predict` latency line each eval run prints is kept as `predict_ms_p50` and
+`predict_ms_p95`, summarised like the metrics. Then, per side, a default
+CLI `gen-data`, `pretrain` (on the four families), `finetune` (on
+`fields_a`) and `eval --protocol domain_gen` (that fine-tune over the four
+shifted variants) each run in a child process that reports its own wall
+seconds, max RSS and minor page faults (`e2e`). The two sides' suite,
 backbone and fine-tune directories are compared byte for byte, apart from
 `runtime_seconds` and the per-tensor `.json` sidecars older commits write
-(`suite_identical`, `backbone_identical`, `finetune_identical`). Runs go one
-after another: anything else running on the host moves the numbers.
+(`suite_identical`, `backbone_identical`, `finetune_identical`), and so are
+their eval `report.json` files (`eval_identical`). Runs go one after
+another: anything else running on the host moves the numbers.
 """
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -71,6 +76,8 @@ print(json.dumps({"rc": rc, "wall_s": wall, "max_rss_mb": usage.ru_maxrss / 1024
                   "minflt": usage.ru_minflt}))
 """
 FAMILIES = ("fields_a", "fields_b", "fields_c", "fields_d")
+VARIANTS = ("identity", "palette_shift", "noise", "style_remap")
+PREDICT_LINE = re.compile(r"predict latency p50 (\S+) ms, p95 (\S+) ms")
 
 
 def cli(tree, *argv):
@@ -124,15 +131,22 @@ def main(argv=None):
                   "workloads": {}, "per_layer_seed1": {}}
         for workload in WORKLOADS:
             runs = {side: [] for side in SIDES}
+            predicts = {side: [] for side in SIDES}
             for i in range(PAIRS):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                     lines, last = bench(trees[side], workload, FIRST_SEED + i, 0)
                     env = json.loads(next(x[4:] for x in lines if x.startswith("env ")))
                     result["env"] = {k: env[k] for k in ("nproc", "numpy", "blas_threads")}
                     runs[side].append(last)
+                    predicts[side] += [tuple(map(float, m.groups())) for m in
+                                       map(PREDICT_LINE.match, lines) if m]
                     print(workload, i, side, json.dumps(last["metrics"]), flush=True)
             metrics = {key: {side: [r[key] for r in runs[side]] for side in SIDES}
                        for key in ("failed", "attempted")}
+            if predicts["parent"] and predicts["change"]:
+                for q, key in enumerate(("predict_ms_p50", "predict_ms_p95")):
+                    metrics[key] = {side: summary([p[q] for p in predicts[side]])
+                                    for side in SIDES}
             for name, direction in better.items():
                 values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                           for side in SIDES}
@@ -148,16 +162,23 @@ def main(argv=None):
                        if m["unit"] == "count" or name.endswith(".self_pct")}
                 for side in SIDES}
         datasets = json.dumps([f"e2e/suite/{f}" for f in FAMILIES])
+        variants = json.dumps([f"e2e/suite/fields_a-{v}" for v in VARIANTS])
         result["e2e"] = {side: {
             "gen-data": cli(trees[side], "gen-data", "--out", "e2e/suite"),
             "pretrain": cli(trees[side], "pretrain", "--out", "e2e/backbone",
                             "--override", f"datasets={datasets}"),
             "finetune": cli(trees[side], "finetune", "--out", "e2e/finetune",
                             "--override", "backbone=e2e/backbone",
-                            "--override", "dataset=e2e/suite/fields_a")} for side in SIDES}
+                            "--override", "dataset=e2e/suite/fields_a"),
+            "eval": cli(trees[side], "eval", "--out", "e2e/eval",
+                        "--override", "checkpoint=e2e/finetune",
+                        "--override", "protocol=domain_gen",
+                        "--override", f"variants={variants}")} for side in SIDES}
         for out in ("suite", "backbone", "finetune"):
             result["e2e"][f"{out}_identical"] = (output_files(trees["parent"] / "e2e" / out)
                                                  == output_files(trees["change"] / "e2e" / out))
+        result["e2e"]["eval_identical"] = len({
+            (trees[side] / "e2e" / "eval" / "report.json").read_bytes() for side in SIDES}) == 1
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
 
 

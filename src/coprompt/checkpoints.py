@@ -74,9 +74,12 @@ def content_hash(meta: dict, tensor_hashes: dict) -> str:
 
 
 def write_json(path, obj):
-    with open(path, "w") as f:
+    """Write `obj` through a temporary file and `os.replace`, so a reader
+    finds the old file or the new one, never part of one."""
+    with open(path + ".tmp", "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
+    os.replace(path + ".tmp", path)
 
 
 def read_json(path):
@@ -156,7 +159,10 @@ def _dump(value):
 def write_checkpoint(directory, meta, tensors, manifest="manifest.json", subdir="",
                      dtype="f32"):
     """Write `(name, array)` tensors under `directory/subdir` and the manifest
-    `meta` + per-tensor shape and sha256 + content hash; returns the hash."""
+    `meta` + per-tensor shape and sha256 + content hash; returns the hash.
+    The manifest goes last and whole, so a write cut short leaves either no
+    manifest or the old one, whose hashes the new tensors fail: both are
+    refused by `read_checkpoint`."""
     tensor_dir = os.path.join(directory, subdir)
     os.makedirs(tensor_dir, exist_ok=True)
     entries = {}

@@ -7,16 +7,21 @@ bit-exactly from the manifest seed. Classes are procedural pattern fields
 phase, brightness, and noise jitter so pixel-space centroids are an
 intentionally mediocre classifier.
 
-In memory a dataset is one packed record array in `images.bin`'s own
-layout, read and written whole. Its (N, H, W, C) float32 `pixels` and
-parallel `class_ids` / `sample_seeds` are views of it, and every consumer
-(few-shot split, pretrain split, pools) gathers rows by index.
+A dataset is a read-only mapping of its own `images.bin`: one packed
+record array whose (N, H, W, C) float32 `pixels` and parallel `class_ids` /
+`sample_seeds` are views, and every consumer (few-shot split, pretrain
+split, pools) gathers rows by index, so only the pages it reads come into
+memory. Writing, hashing and shifting go one class block at a time; a
+dataset is written to a temporary file that replaces `images.bin` whole,
+so a live dataset never sees its file change.
 """
 
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +30,7 @@ from .checkpoints import Record, canonical_json, read_json, write_json
 
 FORMAT_VERSION = 1
 MAGIC = b"CPDS"
+_HEADER = 12  # magic, then version and record count as u32
 
 PALETTES = {
     "crimson": ((0.82, 0.12, 0.18), (0.25, 0.02, 0.06)),
@@ -173,40 +179,53 @@ def _row_dtype(manifest):
                      ("pixels", "<f4", (size, size, channels))])
 
 
-def _read_rows(path, dtype):
-    """Every record of `images.bin`; a file whose length is not exactly the
-    header plus `count` records (short or with trailing bytes) is refused."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != MAGIC:
+def _map_rows(fd, path, manifest):
+    """Map every record of the open `images.bin` read-only. A file whose
+    header count is not the manifest's classes times its split, or whose
+    length is not exactly the header plus `count` records (short or with
+    trailing bytes), is refused."""
+    dtype = _row_dtype(manifest)
+    header = os.pread(fd, _HEADER, 0)
+    if header[:4] != MAGIC:
         raise DatasetError(f"bad magic in {path}")
-    if len(data) < 12:
+    if len(header) < _HEADER:
         raise DatasetError(f"truncated header in {path}")
-    version, count = (int(v) for v in np.frombuffer(data, "<u4", 2, offset=4))
+    version, count = (int(v) for v in np.frombuffer(header, "<u4", 2, offset=4))
     if version != FORMAT_VERSION:
         raise DatasetError(f"unsupported dataset format version {version}")
-    if len(data) != 12 + count * dtype.itemsize:
-        raise DatasetError(f"{path} is {len(data)} bytes, but {count} records "
-                           f"take {12 + count * dtype.itemsize}")
-    return np.frombuffer(data, dtype, offset=12)
+    expected = len(manifest.classes) * manifest.split.per_class
+    if count != expected:
+        raise DatasetError(f"{path} holds {count} records, but the manifest's classes "
+                           f"and split make {expected}")
+    size = os.fstat(fd).st_size
+    if size != _HEADER + count * dtype.itemsize:
+        raise DatasetError(f"{path} is {size} bytes, but {count} records "
+                           f"take {_HEADER + count * dtype.itemsize}")
+    return np.frombuffer(mmap.mmap(fd, size, access=mmap.ACCESS_READ), dtype, count,
+                         offset=_HEADER)
 
 
 class Dataset:
-    """In-memory view over a generated dataset directory.
+    """A generated dataset directory, mapped read-only.
 
-    `rows` is the packed record array; `pixels` (N, H, W, C) float32,
-    `class_ids` and `sample_seeds` are views of it. Rows are ordered
-    class-major, and within each class: train block, then val, then test.
-    Pool accessors slice that fixed layout. A loaded dataset is read-only.
+    `rows` is the packed record array of `images.bin`, mapped from the file;
+    `pixels` (N, H, W, C) float32, `class_ids` and `sample_seeds` are views
+    of it. Rows are ordered class-major, and within each class: train block,
+    then val, then test. Pool accessors slice that fixed layout. A dataset
+    holds its file open while it lives, so a directory regenerated under it
+    (a new file put in place) changes neither its pixels nor its hash.
     """
 
-    def __init__(self, manifest: DatasetManifest, rows, directory=None):
+    def __init__(self, manifest: DatasetManifest, directory):
+        path = os.path.join(directory, "images.bin")
+        self._fd = os.open(path, os.O_RDONLY)
+        weakref.finalize(self, os.close, self._fd)
         self.manifest = manifest
-        self.rows = rows
-        self.pixels = rows["pixels"]
-        self.class_ids = rows["class_id"]
-        self.sample_seeds = rows["sample_seed"]
         self.directory = directory
+        self.rows = _map_rows(self._fd, path, manifest)
+        self.pixels = self.rows["pixels"]
+        self.class_ids = self.rows["class_id"]
+        self.sample_seeds = self.rows["sample_seed"]
 
     @staticmethod
     def load(directory):
@@ -215,22 +234,28 @@ class Dataset:
             manifest = DatasetManifest.from_dict(read_json(path))
         except ValueError as e:
             raise DatasetError(f"{path}: {e}") from None
-        rows = _read_rows(os.path.join(directory, "images.bin"), _row_dtype(manifest))
-        return Dataset(manifest, rows, directory)
+        return Dataset(manifest, directory)
 
     def save(self, directory):
-        os.makedirs(directory, exist_ok=True)
-        write_json(os.path.join(directory, "manifest.json"), self.manifest.to_dict())
-        with open(os.path.join(directory, "images.bin"), "wb") as f:
-            f.write(MAGIC + np.asarray([FORMAT_VERSION, len(self.rows)], "<u4").tobytes())
-            self.rows.tofile(f)
-        self.directory = directory
-        return self
+        """Write this dataset under `directory`; returns the dataset mapped there."""
+        return _write_dataset(directory, self.manifest, self._class_blocks())
+
+    def _class_blocks(self):
+        """Each class's records in turn, read from the open file (not the
+        mapping) into one writable array that every step reuses."""
+        buf = bytearray(self.manifest.split.per_class * self.rows.dtype.itemsize)
+        for cid in range(len(self.manifest.classes)):
+            if os.preadv(self._fd, [buf], _HEADER + cid * len(buf)) != len(buf):
+                raise DatasetError(f"short read of class {cid} in {self.directory}")
+            yield np.frombuffer(buf, self.rows.dtype)
 
     @property
     def content_hash(self):
+        """sha256 of the canonical manifest and every pixel, one class block at a time."""
         h = hashlib.sha256(canonical_json(self.manifest.to_dict()).encode())
-        h.update(self.pixels.tobytes())
+        for block in self._class_blocks():
+            for pixels in block["pixels"]:
+                h.update(pixels)
         return h.hexdigest()
 
     def _block(self, class_id):
@@ -250,6 +275,22 @@ class Dataset:
         """(pixels, class_id) pairs for the given classes and pool."""
         return [(self.pixels[idx], cid) for cid in class_ids
                 for idx in self.pool_indices(cid, pool)]
+
+
+def _write_dataset(directory, manifest, blocks):
+    """Write the header and then each class block of records to a temporary
+    file that replaces `images.bin`, then the manifest; returns the dataset
+    mapped from `directory`."""
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, "images.bin")
+    count = len(manifest.classes) * manifest.split.per_class
+    with open(path + ".tmp", "wb") as f:
+        f.write(MAGIC + np.asarray([FORMAT_VERSION, count], "<u4").tobytes())
+        for block in blocks:
+            block.tofile(f)
+    os.replace(path + ".tmp", path)
+    write_json(os.path.join(directory, "manifest.json"), manifest.to_dict())
+    return Dataset(manifest, directory)
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +337,22 @@ def build_family_manifest(name, palettes, seed, split_counts, noise=0.06,
     return DatasetManifest(name=name, classes=classes, split=split, seed=seed, noise=noise)
 
 
-def generate_dataset(manifest: DatasetManifest, out_dir=None) -> Dataset:
-    """Materialize every record of a manifest; bit-identical per manifest."""
-    per_class = manifest.split.per_class
-    rows = np.zeros(len(manifest.classes) * per_class, _row_dtype(manifest))
-    samples = ((cls, idx) for cls in manifest.classes for idx in range(per_class))
-    for row, (cls, idx) in zip(rows, samples):  # each row is a view into `rows`
-        sseed = _sample_seed(manifest.seed, cls.id, idx)
-        row["class_id"], row["sample_seed"] = cls.id, sseed
-        row["pixels"] = render_image(cls, manifest.image_size, manifest.noise,
-                                     np.random.default_rng(sseed))
-    ds = Dataset(manifest, rows)
-    if out_dir is not None:
-        ds.save(out_dir)
-    return ds
+def generate_dataset(manifest: DatasetManifest, out_dir) -> Dataset:
+    """Write every record of a manifest under `out_dir`, one class block at a
+    time; bit-identical per manifest. Returns the dataset mapped there."""
+    return _write_dataset(out_dir, manifest, _rendered_blocks(manifest))
+
+
+def _rendered_blocks(manifest):
+    """Each class's records in turn, in one array that every step refills."""
+    block = np.zeros(manifest.split.per_class, _row_dtype(manifest))
+    for cls in manifest.classes:
+        for idx, row in enumerate(block):  # each row is a view into `block`
+            sseed = _sample_seed(manifest.seed, cls.id, idx)
+            row["class_id"], row["sample_seed"] = cls.id, sseed
+            row["pixels"] = render_image(cls, manifest.image_size, manifest.noise,
+                                         np.random.default_rng(sseed))
+        yield block
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +364,10 @@ VARIANT_SHIFTS = ("identity", "palette_shift", "noise", "style_remap")
 NOISE_SIGMA = 10.0
 
 
-def make_shifted_variant(dataset: Dataset, shift, out_dir=None) -> Dataset:
-    """Label-preserving distribution shift over every image of a dataset."""
+def make_shifted_variant(dataset: Dataset, shift, out_dir) -> Dataset:
+    """Label-preserving distribution shift over every image of a dataset,
+    written under `out_dir` one class block at a time; returns the dataset
+    mapped there."""
     if shift not in VARIANT_SHIFTS:
         raise DatasetError(f"unknown shift {shift!r}; expected one of {VARIANT_SHIFTS}")
     src = dataset.manifest
@@ -331,24 +376,26 @@ def make_shifted_variant(dataset: Dataset, shift, out_dir=None) -> Dataset:
     manifest.shift = {"kind": shift, "source": src.name}
     if shift == "noise":
         manifest.shift["sigma"] = NOISE_SIGMA
+    return _write_dataset(out_dir, manifest, _shifted_blocks(dataset, shift))
 
-    rows = dataset.rows.copy()
-    pixels = rows["pixels"]
-    for idx in range(len(rows)):
-        img = pixels[idx].astype(np.float64)
-        if shift == "palette_shift":
-            img = img * np.asarray([1.18, 0.82, 1.05]) + np.asarray([0.02, 0.05, -0.02])
-        elif shift == "noise":
-            rng = np.random.default_rng(np.random.SeedSequence([src.seed, 9001, idx]))
-            img = img + rng.normal(0.0, NOISE_SIGMA, img.shape)
-        elif shift == "style_remap":
-            img = 0.82 * img + 0.18 * img[..., [1, 2, 0]]  # mild channel blend
-            img = np.clip(img, 0.0, 1.0) ** 0.65
-        pixels[idx] = np.clip(img, 0.0, 1.0)  # identity: every pixel is already in [0, 1]
-    ds = Dataset(manifest, rows)
-    if out_dir is not None:
-        ds.save(out_dir)
-    return ds
+
+def _shifted_blocks(dataset, shift):
+    seed, per_class = dataset.manifest.seed, dataset.manifest.split.per_class
+    for cid, block in enumerate(dataset._class_blocks()):
+        pixels = block["pixels"]
+        for j in range(len(block)):
+            img = pixels[j].astype(np.float64)
+            if shift == "palette_shift":
+                img = img * np.asarray([1.18, 0.82, 1.05]) + np.asarray([0.02, 0.05, -0.02])
+            elif shift == "noise":
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([seed, 9001, cid * per_class + j]))
+                img = img + rng.normal(0.0, NOISE_SIGMA, img.shape)
+            elif shift == "style_remap":
+                img = 0.82 * img + 0.18 * img[..., [1, 2, 0]]  # mild channel blend
+                img = np.clip(img, 0.0, 1.0) ** 0.65
+            pixels[j] = np.clip(img, 0.0, 1.0)  # identity: every pixel is already in [0, 1]
+        yield block
 
 
 # ---------------------------------------------------------------------------

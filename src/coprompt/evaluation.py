@@ -9,6 +9,7 @@ harmonic mean), cross-dataset transfer, and domain-shifted variants.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -50,6 +51,29 @@ def _class_matrix(model, class_names):
     return model.text_embedding(tokens).data
 
 
+# (backbone, tuned-parameter digest, class names, class matrix) of the last
+# `predict`; holding the backbone keeps the `is` test from matching a new
+# object at a recycled address
+_predict_memo = None
+
+
+def _predict_class_matrix(model, class_names):
+    """`_class_matrix`, reused while the frozen backbone, the bytes of the
+    tuned parameters and the class names stay the same."""
+    global _predict_memo
+    if not (isinstance(model, TunedModel) and model.backbone.frozen):
+        return _class_matrix(model, class_names)
+    h = hashlib.sha256()
+    for name, t in model.params:
+        h.update(f"{name}{t.data.shape}".encode())
+        h.update(t.data.tobytes())
+    key = (h.digest(), tuple(class_names))
+    if _predict_memo is None or _predict_memo[0] is not model.backbone \
+            or _predict_memo[1:3] != key:
+        _predict_memo = (model.backbone, *key, _class_matrix(model, class_names))
+    return _predict_memo[3]
+
+
 def predict(model, image, class_names):
     """(argmax class index, probability vector) for one image.
 
@@ -60,7 +84,7 @@ def predict(model, image, class_names):
         raise ValueError("predict: empty class set")
     model = _as_model(model)
     with ad.no_grad():
-        class_embs = _class_matrix(model, class_names)
+        class_embs = _predict_class_matrix(model, class_names)
         emb = model.image_embedding(image).data
     logits = (class_embs @ emb) / model.tau
     z = np.exp(logits - logits.max())

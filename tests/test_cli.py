@@ -7,8 +7,10 @@ import shutil
 import numpy as np
 import pytest
 
-from coprompt.checkpoints import read_json
+from coprompt import checkpoints
+from coprompt.checkpoints import CheckpointError, read_json, write_json
 from coprompt.cli import main
+from coprompt.encoders import load_backbone, save_backbone
 
 
 def _write(path, obj):
@@ -238,6 +240,10 @@ def _append_to_images(ft, bb, ds):
     path.write_bytes(path.read_bytes() + bytes(7))
 
 
+def _grow_dataset_split(ft, bb, ds):
+    _edit_json(ds / "manifest.json", lambda m: m["split"].update(test=m["split"]["test"] + 1))
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_flip_tensor_byte, "hash"),
     (_edit_finetune_lambda, "hash"),
@@ -245,8 +251,10 @@ def _append_to_images(ft, bb, ds):
     (_transpose_manifest_shape, "shape mismatch"),
     (_truncate_images, "truncated"),
     (_append_to_images, "bytes"),
+    (_grow_dataset_split, "records"),
 ], ids=["tensor_byte_flip", "finetune_config_edit", "backbone_manifest_edit",
-        "tensor_shape_edit", "images_truncated", "images_trailing_bytes"])
+        "tensor_shape_edit", "images_truncated", "images_trailing_bytes",
+        "dataset_split_edit"])
 def test_corrupted_checkpoint_refuses_to_run(rig, tmp_path, capsys, corrupt, message):
     root, suite_dir, bb_dir = rig
     bb, ds, ft_dir = tmp_path / "bb", tmp_path / "ds", tmp_path / "ft"
@@ -265,6 +273,56 @@ def test_corrupted_checkpoint_refuses_to_run(rig, tmp_path, capsys, corrupt, mes
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert message in err
     assert not (tmp_path / "ev" / "report.json").exists()
+
+
+class _CutShort(Exception):
+    pass
+
+
+@pytest.mark.parametrize("tensors_written", [1, 5])
+@pytest.mark.parametrize("over_existing", [False, True], ids=["fresh_dir", "over_existing"])
+def test_checkpoint_write_cut_short_is_refused(rig, tmp_path, capsys, monkeypatch,
+                                               over_existing, tensors_written):
+    """`write_checkpoint` dying after k tensors leaves either no manifest or
+    the old one, whose hashes the new tensors fail: the reader refuses both,
+    and the CLI exits 2 with one `error:` line."""
+    root, suite_dir, bb_dir = rig
+    bb = tmp_path / "bb"
+    if over_existing:
+        shutil.copytree(bb_dir, bb)
+    enc = load_backbone(str(bb_dir))
+    for t in enc.weights.values():
+        t.data = t.data + 0.5
+    write_tensor, written = checkpoints.write_tensor, []
+
+    def cut_short(*args, **kwargs):
+        if len(written) == tensors_written:
+            raise _CutShort
+        written.append(args[1])
+        return write_tensor(*args, **kwargs)
+
+    monkeypatch.setattr(checkpoints, "write_tensor", cut_short)
+    with pytest.raises(_CutShort):
+        save_backbone(str(bb), enc)
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError):
+        load_backbone(str(bb))
+    cfg = _write(tmp_path / "f.json", {
+        "backbone": str(bb), "dataset": str(suite_dir / "fields_a"),
+        "out": str(tmp_path / "ft"), "train": TINY_TRAIN})
+    capsys.readouterr()
+    assert main(["finetune", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert not (tmp_path / "ft").exists()
+
+
+def test_write_json_cut_short_keeps_the_old_file(tmp_path):
+    path = str(tmp_path / "manifest.json")
+    write_json(path, {"a": 1})
+    with pytest.raises(TypeError):
+        write_json(path, {"a": 2, "b": object()})
+    assert read_json(path) == {"a": 1}
 
 
 def _drop_manifest_noise(m):

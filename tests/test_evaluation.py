@@ -251,6 +251,49 @@ def test_domain_class_set_mismatch(suite, frozen):
         domain_gen_eval(frozen, [suite["fields_a"], suite["fields_b"]])
 
 
+def test_predict_reuses_the_class_matrix_while_its_inputs_hold(suite, frozen, monkeypatch):
+    """One class-matrix encode serves repeated predicts; new tuned-parameter
+    bytes (even written straight into `.data`) or new class names re-encode,
+    and every answer equals an uncached one."""
+    from coprompt import evaluation
+    from coprompt.training import TrainConfig, tuned_model
+
+    ds = suite["fields_a"]
+    names = [c.name for c in ds.manifest.classes]
+    images = [pixels for pixels, _ in ds.pool([0, 1], "test")[:3]]
+    model = tuned_model(frozen, TrainConfig(seed=0))
+    encode_text, encodes = frozen.encode_text, []
+
+    def counting(*args, **kwargs):
+        encodes.append(1)
+        return encode_text(*args, **kwargs)
+
+    monkeypatch.setattr(frozen, "encode_text", counting)
+
+    def uncached(image, class_names):
+        monkeypatch.setattr(evaluation, "_predict_memo", None)
+        return predict(model, image, class_names)
+
+    monkeypatch.setattr(evaluation, "_predict_memo", None)
+    answers = [predict(model, image, names) for image in images]
+    assert len(encodes) == 1
+    for image, (idx, probs) in zip(images, answers):
+        want_idx, want_probs = uncached(image, names)
+        assert idx == want_idx and np.array_equal(probs, want_probs)
+
+    w = model.adapters["text"].ws[-1]
+    w.data = w.data + 0.01
+    before = len(encodes)
+    _, probs = predict(model, images[0], names)
+    assert len(encodes) == before + 1
+    assert not np.array_equal(probs, answers[0][1])
+    assert np.array_equal(probs, uncached(images[0], names)[1])
+
+    before = len(encodes)
+    predict(model, images[0], names[::-1])
+    assert len(encodes) == before + 1
+
+
 def test_render_table_layout():
     text = render_table([["fields_b", 41.2], ["fields_c", 38.9]], ["target", "accuracy"])
     lines = text.splitlines()

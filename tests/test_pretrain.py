@@ -21,10 +21,10 @@ from coprompt.encoders import (
 from helpers import clone_frozen
 
 
-def test_pretrain_rejects_bad_inputs():
+def test_pretrain_rejects_bad_inputs(tmp_path):
     manifest = build_family_manifest("t", ("crimson",), seed=0, split_counts=(2, 1, 1),
                                      base_count=2)
-    ds = generate_dataset(manifest)
+    ds = generate_dataset(manifest, str(tmp_path / "t"))
     tok = Tokenizer.from_manifests([manifest])
     enc = DualEncoder(EncoderConfig(layers=1, width=16, heads=2, embed_dim=8), tok)
     split = build_pretrain_split([ds], tok, 16)
@@ -46,10 +46,10 @@ def test_identical_pairs_loss_is_log_batch():
     assert ce.item() == pytest.approx(math.log(b), abs=1e-12)
 
 
-def test_large_tau_drives_loss_to_log_batch():
+def test_large_tau_drives_loss_to_log_batch(tmp_path):
     manifest = build_family_manifest("t2", ("crimson", "azure"), seed=1,
                                      split_counts=(2, 1, 0), base_count=4)
-    ds = generate_dataset(manifest)
+    ds = generate_dataset(manifest, str(tmp_path / "t2"))
     tok = Tokenizer.from_manifests([manifest])
     enc = DualEncoder(EncoderConfig(layers=1, width=16, heads=2, embed_dim=8), tok)
     enc.weights["log_tau"].data = np.asarray(np.log(100.0))
@@ -78,13 +78,14 @@ def test_eight_class_retrieval_beats_twice_chance(tmp_path):
     assert hist["retrieval_accuracy"] > 2.0 / 8.0
 
 
-def test_pretrain_steps_do_not_hold_each_others_graphs():
+def test_pretrain_steps_do_not_hold_each_others_graphs(tmp_path):
     """A step's graph and gradients are freed before the next step's
     forward, so three steps peak no higher than one (within 10%)."""
     manifest = build_family_manifest("mem8", ("crimson", "azure"), seed=5,
                                      split_counts=(1, 0, 0), base_count=8)
     tok = Tokenizer.from_manifests([manifest])
-    split = build_pretrain_split([generate_dataset(manifest)], tok, 16)
+    split = build_pretrain_split([generate_dataset(manifest, str(tmp_path / "mem8"))],
+                                 tok, 16)
     assert len(split.images) == 8  # batch 8: one epoch is one step
 
     def peak(epochs):

@@ -124,11 +124,11 @@ def test_total_loss_rejects_non_finite():
 
 
 @pytest.fixture(scope="module")
-def mini():
+def mini(tmp_path_factory):
     """Small frozen encoder + 4-base-class dataset; quality-free mechanics rig."""
     manifest = build_family_manifest("mini", ("crimson", "azure", "jade"), seed=11,
                                      split_counts=(6, 1, 2), base_count=4)
-    ds = generate_dataset(manifest)
+    ds = generate_dataset(manifest, str(tmp_path_factory.mktemp("mini")))
     tok = Tokenizer.from_manifests([manifest])
     enc = DualEncoder(EncoderConfig(layers=2, width=32, heads=2, embed_dim=16),
                       tok, seed=5)
