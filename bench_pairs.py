@@ -13,14 +13,16 @@ layer's self time as a percentage of its traced pass (`.self_pct`). The
 `predict` latency line each eval run prints is kept as `predict_ms_p50` and
 `predict_ms_p95`, summarised like the metrics. Then, per side, a default
 CLI `gen-data`, `pretrain` (on the four families), `finetune` (on
-`fields_a`) and `eval --protocol domain_gen` (that fine-tune over the four
-shifted variants) each run in a child process that reports its own wall
-seconds, max RSS and minor page faults (`e2e`). The two sides' suite,
-backbone and fine-tune directories are compared byte for byte, apart from
-`runtime_seconds` and the per-tensor `.json` sidecars older commits write
-(`suite_identical`, `backbone_identical`, `finetune_identical`), and so are
-their eval `report.json` files (`eval_identical`). Runs go one after
-another: anything else running on the host moves the numbers.
+`fields_a`), `eval --protocol cross_dataset` (that fine-tune on `fields_a`,
+then the three target families) and `eval --protocol domain_gen` (that
+fine-tune over the four shifted variants) each run in a child process that
+reports its own wall seconds, max RSS and minor page faults (`e2e`). The
+two sides' suite, backbone and fine-tune directories are compared byte for
+byte, apart from `runtime_seconds` and the per-tensor `.json` sidecars
+older commits write (`suite_identical`, `backbone_identical`,
+`finetune_identical`), and so are the `report.json` files of both evals
+(`eval_identical`). Runs go one after another: anything else running on
+the host moves the numbers.
 """
 
 import argparse
@@ -112,6 +114,35 @@ def summary(values):
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
+def e2e(trees):
+    """The default CLI pipeline run once in each side's tree, and whether
+    the two sides' outputs are byte-identical."""
+    datasets = json.dumps([f"e2e/suite/{f}" for f in FAMILIES])
+    targets = json.dumps([f"e2e/suite/{f}" for f in FAMILIES[1:]])
+    variants = json.dumps([f"e2e/suite/fields_a-{v}" for v in VARIANTS])
+    evals = {"cross_dataset": ["--override", "dataset=e2e/suite/fields_a",
+                               "--override", f"targets={targets}"],
+             "domain_gen": ["--override", f"variants={variants}"]}
+    result = {side: {
+        "gen-data": cli(trees[side], "gen-data", "--out", "e2e/suite"),
+        "pretrain": cli(trees[side], "pretrain", "--out", "e2e/backbone",
+                        "--override", f"datasets={datasets}"),
+        "finetune": cli(trees[side], "finetune", "--out", "e2e/finetune",
+                        "--override", "backbone=e2e/backbone",
+                        "--override", "dataset=e2e/suite/fields_a"),
+        **{f"eval_{protocol}": cli(trees[side], "eval", "--out", f"e2e/eval_{protocol}",
+                                    "--override", "checkpoint=e2e/finetune",
+                                    "--override", f"protocol={protocol}", *inputs)
+           for protocol, inputs in evals.items()}} for side in SIDES}
+    for out in ("suite", "backbone", "finetune"):
+        result[f"{out}_identical"] = (output_files(trees["parent"] / "e2e" / out)
+                                      == output_files(trees["change"] / "e2e" / out))
+    result["eval_identical"] = all(len({
+        (trees[side] / "e2e" / f"eval_{protocol}" / "report.json").read_bytes()
+        for side in SIDES}) == 1 for protocol in evals)
+    return result
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True)
@@ -161,24 +192,7 @@ def main(argv=None):
                        bench(trees[side], workload, 1, 1)[1]["metrics"].items()
                        if m["unit"] == "count" or name.endswith(".self_pct")}
                 for side in SIDES}
-        datasets = json.dumps([f"e2e/suite/{f}" for f in FAMILIES])
-        variants = json.dumps([f"e2e/suite/fields_a-{v}" for v in VARIANTS])
-        result["e2e"] = {side: {
-            "gen-data": cli(trees[side], "gen-data", "--out", "e2e/suite"),
-            "pretrain": cli(trees[side], "pretrain", "--out", "e2e/backbone",
-                            "--override", f"datasets={datasets}"),
-            "finetune": cli(trees[side], "finetune", "--out", "e2e/finetune",
-                            "--override", "backbone=e2e/backbone",
-                            "--override", "dataset=e2e/suite/fields_a"),
-            "eval": cli(trees[side], "eval", "--out", "e2e/eval",
-                        "--override", "checkpoint=e2e/finetune",
-                        "--override", "protocol=domain_gen",
-                        "--override", f"variants={variants}")} for side in SIDES}
-        for out in ("suite", "backbone", "finetune"):
-            result["e2e"][f"{out}_identical"] = (output_files(trees["parent"] / "e2e" / out)
-                                                 == output_files(trees["change"] / "e2e" / out))
-        result["e2e"]["eval_identical"] = len({
-            (trees[side] / "e2e" / "eval" / "report.json").read_bytes() for side in SIDES}) == 1
+        result["e2e"] = e2e(trees)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
 
 

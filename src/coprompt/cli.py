@@ -118,6 +118,17 @@ def _require_dir(path, what):
     return path
 
 
+def _require_out(path):
+    """An output directory that exists or can be made: a file at `path`, or
+    at the nearest of its parents that exists, is refused before any work."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"output path is a file, not a directory: {existing}")
+    return path
+
+
 def _echo_config(out_dir, resolved):
     os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, "resolved_config.json"), resolved)
@@ -144,6 +155,7 @@ class GenDataConfig(Record):
 
 def cmd_gen_data(cfg):
     cfg = GenDataConfig.from_dict(cfg)
+    _require_out(cfg.out)
     suite = build_default_suite(
         cfg.out, seed=cfg.seed, source_counts=tuple(cfg.source_counts),
         target_counts=tuple(cfg.target_counts), noise=float(cfg.noise))
@@ -175,6 +187,7 @@ class PretrainConfig(Record):
 
 def cmd_pretrain(cfg):
     cfg = PretrainConfig.from_dict(cfg)
+    _require_out(cfg.out)
     enc_config = EncoderConfig.from_dict(cfg.encoder, "encoder.")
     datasets = [Dataset.load(_require_dir(p, "dataset")) for p in cfg.datasets]
     tokenizer = Tokenizer.from_manifests([d.manifest for d in datasets])
@@ -225,6 +238,7 @@ class FinetuneConfig(Record):
 
 def cmd_finetune(cfg):
     cfg = FinetuneConfig.from_dict(cfg)
+    _require_out(cfg.out)
     max_steps = check_max_steps(cfg.max_steps)
     backbone = load_backbone(_require_dir(cfg.backbone, "backbone"))
     dataset = Dataset.load(_require_dir(cfg.dataset, "dataset"))
@@ -271,8 +285,8 @@ def _eval_needs(cfg, key):
 
 def cmd_eval(raw):
     cfg = EvalConfig.from_dict(raw)
+    protocol, out = cfg.protocol, _require_out(cfg.out)
     ckpt = _require_dir(cfg.checkpoint, "checkpoint")
-    protocol, out = cfg.protocol, cfg.out
     model, train_cfg, manifest = _load_model(ckpt, cfg.backbone)
 
     if protocol == "base_to_novel":
@@ -284,24 +298,26 @@ def cmd_eval(raw):
         write_json(os.path.join(out, "report.json"), report.to_dict())
         print(f"base={report.base_acc:.2f} novel={report.novel_acc:.2f} hm={report.hm:.2f}")
     elif protocol == "cross_dataset":
-        ds = Dataset.load(_require_dir(_eval_needs(cfg, "dataset"), "dataset"))
-        targets = [Dataset.load(_require_dir(p, "target dataset"))
-                   for p in _eval_needs(cfg, "targets")]
-        source_ids = [c.id for c in ds.manifest.classes]
+        # every path is checked before any scoring; then one dataset is
+        # mapped at a time: the source, then each target in turn
+        source_dir = _require_dir(_eval_needs(cfg, "dataset"), "dataset")
+        target_dirs = [_require_dir(p, "target dataset") for p in _eval_needs(cfg, "targets")]
+        ds = Dataset.load(source_dir)
+        source = ds.manifest.name
         from .evaluation import _pool_accuracy
-        source_acc, _ = _pool_accuracy(model, ds, source_ids)
-        table = cross_dataset_eval(model, ds.manifest.name, targets)
+        source_acc, _ = _pool_accuracy(model, ds, [c.id for c in ds.manifest.classes])
+        del ds
+        table = cross_dataset_eval(model, source, (Dataset.load(p) for p in target_dirs))
         header = ["source"] + [name for name, _ in table["rows"]] + ["average"]
         row = [source_acc] + [acc for _, acc in table["rows"]] + [table.get("average", "")]
         write_eval_outputs(out, "cross_dataset", [row], header)
         write_json(os.path.join(out, "report.json"),
-                   {"source": {"name": ds.manifest.name, "accuracy": source_acc},
+                   {"source": {"name": source, "accuracy": source_acc},
                     "rows": table["rows"], "average": table.get("average")})
         print(f"cross-dataset average={table.get('average')}")
     elif protocol == "domain_gen":
-        variants = [Dataset.load(_require_dir(p, "variant dataset"))
-                    for p in _eval_needs(cfg, "variants")]
-        table = domain_gen_eval(model, variants)
+        variant_dirs = [_require_dir(p, "variant dataset") for p in _eval_needs(cfg, "variants")]
+        table = domain_gen_eval(model, (Dataset.load(p) for p in variant_dirs))
         header = [name for name, _ in table["rows"]] + ["average"]
         row = [acc for _, acc in table["rows"]] + [table.get("average", "")]
         write_eval_outputs(out, "domain_gen", [row], header)
@@ -480,6 +496,7 @@ class AblateConfig(Record):
 
 def cmd_ablate(cfg):
     cfg = AblateConfig.from_dict(cfg)
+    _require_out(cfg.out)
     bb_dir = _require_dir(cfg.backbone, "backbone")
     ds_dir = _require_dir(cfg.dataset, "dataset")
     TrainConfig.from_dict(cfg.train, "train.")  # validate early
@@ -513,6 +530,7 @@ class SweepConfig(Record):
 
 def cmd_sweep(cfg):
     cfg = SweepConfig.from_dict(cfg)
+    _require_out(cfg.out)
     bb_dir = _require_dir(cfg.backbone, "backbone")
     ds_dir = _require_dir(cfg.dataset, "dataset")
     results = _run_axes(bb_dir, ds_dir, cfg.out, cfg.train, cfg.seeds,

@@ -146,7 +146,9 @@ def cross_dataset_eval(model, source_id, targets):
     """Zero-shot accuracy per target family plus the average.
 
     Every target is evaluated over its full class set on the test pool.
-    Rows: [(name, accuracy)]; the average is omitted for an empty list.
+    `targets` may be any iterable. No dataset is held past its turn, so a
+    generator that loads each target in turn has one mapped while scoring.
+    Rows: [(name, accuracy)]; the average is omitted for no targets.
     """
     rows = []
     for ds in targets:
@@ -160,7 +162,11 @@ def cross_dataset_eval(model, source_id, targets):
 
 
 def domain_gen_eval(model, variants):
-    """Accuracy per shifted variant; variants must share the source class set."""
+    """Accuracy per shifted variant; variants must share the source class set.
+
+    `variants` may be any iterable, drawn one dataset at a time as in
+    `cross_dataset_eval`.
+    """
     rows = []
     expected_names = None
     for ds in variants:

@@ -3,14 +3,22 @@
 import json
 import os
 import shutil
+import weakref
 
 import numpy as np
 import pytest
 
-from coprompt import checkpoints
+from coprompt import checkpoints, evaluation
 from coprompt.checkpoints import CheckpointError, read_json, write_json
 from coprompt.cli import main
-from coprompt.encoders import load_backbone, save_backbone
+from coprompt.datasets import SOURCE_FAMILY, TARGET_FAMILIES, VARIANT_SHIFTS, Dataset
+from coprompt.encoders import (
+    DualEncoder,
+    EncoderConfig,
+    Tokenizer,
+    load_backbone,
+    save_backbone,
+)
 
 
 def _write(path, obj):
@@ -325,6 +333,19 @@ def test_write_json_cut_short_keeps_the_old_file(tmp_path):
     assert read_json(path) == {"a": 1}
 
 
+def _command_config(command, bb_dir, ds, out):
+    """A config for `command` that runs the tiny rig on dataset `ds` into `out`."""
+    runs = {"backbone": str(bb_dir), "dataset": str(ds), "out": str(out),
+            "train": TINY_TRAIN}
+    return {"gen-data": {"out": str(out)},
+            "pretrain": {"datasets": [str(ds)], "out": str(out)},
+            "finetune": runs,
+            "eval": {"checkpoint": str(bb_dir), "protocol": "base_to_novel",
+                     "dataset": str(ds), "out": str(out)},
+            "ablate": dict(runs, axes=["lambda"]),
+            "sweep": dict(runs, axis="lambda", values=[1.0])}[command]
+
+
 def _drop_manifest_noise(m):
     del m["noise"]
 
@@ -364,15 +385,7 @@ def test_malformed_input_exits_2(rig, tmp_path, capsys, command, overrides,
     shutil.copytree(suite_dir / "fields_a", ds)
     if manifest_edit is not None:
         _edit_json(ds / "manifest.json", manifest_edit)
-    runs = {"backbone": str(bb_dir), "dataset": str(ds), "out": str(out),
-            "train": TINY_TRAIN}
-    cfg = {"gen-data": {"out": str(out)},
-           "pretrain": {"datasets": [str(ds)], "out": str(out)},
-           "finetune": runs,
-           "eval": {"checkpoint": str(bb_dir), "protocol": "base_to_novel",
-                    "dataset": str(ds), "out": str(out)},
-           "ablate": dict(runs, axes=["lambda"]),
-           "sweep": dict(runs, axis="lambda", values=[1.0])}[command]
+    cfg = _command_config(command, bb_dir, ds, out)
     argv = [command, "--config", _write(tmp_path / "c.json", cfg)]
     for override in overrides:
         argv += ["--override", override]
@@ -381,6 +394,125 @@ def test_malformed_input_exits_2(rig, tmp_path, capsys, command, overrides,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+@pytest.mark.parametrize("command", ["gen-data", "pretrain", "finetune", "eval",
+                                     "ablate", "sweep"])
+def test_out_path_that_is_a_file_exits_2(rig, tmp_path, capsys, monkeypatch, command, below):
+    """An `out` that is a file, or lies below one, exits 2 with one `error:`
+    line before any dataset is loaded or built, and the file is kept."""
+    root, suite_dir, bb_dir = rig
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile / "run" if below else afile
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("a dataset was loaded before the out path was checked")
+
+    monkeypatch.setattr(Dataset, "__init__", no_dataset)
+    cfg = _command_config(command, bb_dir, suite_dir / SOURCE_FAMILY, out)
+    capsys.readouterr()
+    assert main([command, "--config", _write(tmp_path / "c.json", cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(afile) in err[0]
+    assert afile.read_text() == "kept"
+
+
+@pytest.fixture(scope="module")
+def wide_backbone(rig):
+    """A random frozen backbone whose vocabulary covers all four families,
+    so every target of the rig suite can be scored zero-shot."""
+    root, suite_dir, bb_dir = rig
+    manifests = [Dataset.load(str(suite_dir / f)).manifest
+                 for f in (SOURCE_FAMILY, *TARGET_FAMILIES)]
+    enc = DualEncoder(EncoderConfig(), Tokenizer.from_manifests(manifests), seed=0, frozen=True)
+    save_backbone(str(root / "wide_backbone"), enc)
+    return root / "wide_backbone"
+
+
+def _multi_eval_config(protocol, suite_dir, backbone, out, last=None):
+    """A cross_dataset (three targets) or domain_gen (four variants) eval
+    config; `last`, when given, replaces the last target or variant."""
+    cfg = {"checkpoint": str(backbone), "protocol": protocol, "out": str(out)}
+    if protocol == "cross_dataset":
+        cfg["dataset"] = str(suite_dir / SOURCE_FAMILY)
+        key, dirs = "targets", [suite_dir / f for f in TARGET_FAMILIES]
+    else:
+        key, dirs = "variants", [suite_dir / f"{SOURCE_FAMILY}-{v}" for v in VARIANT_SHIFTS]
+    if last is not None:
+        dirs[-1] = last
+    cfg[key] = [str(d) for d in dirs]
+    return cfg
+
+
+@pytest.mark.parametrize("protocol", ["cross_dataset", "domain_gen"])
+def test_eval_maps_one_dataset_at_a_time(rig, wide_backbone, tmp_path, monkeypatch, protocol):
+    """Each pool is scored with only its own dataset alive, and the report
+    equals the one the harness gives over a list of the loaded datasets."""
+    root, suite_dir, bb_dir = rig
+    live, alive_at_score = weakref.WeakSet(), []
+    init, pool_accuracy = Dataset.__init__, evaluation._pool_accuracy
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        live.add(self)
+
+    def counted_pool_accuracy(*args, **kwargs):
+        alive_at_score.append(len(live))
+        return pool_accuracy(*args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "__init__", tracked_init)
+    monkeypatch.setattr(evaluation, "_pool_accuracy", counted_pool_accuracy)
+    cfg = _multi_eval_config(protocol, suite_dir, wide_backbone, tmp_path / "ev")
+    assert main(["eval", "--config", _write(tmp_path / "e.json", cfg)]) == 0
+    monkeypatch.undo()
+    assert alive_at_score == [1, 1, 1, 1]
+
+    report = read_json(tmp_path / "ev" / "report.json")
+    model = load_backbone(str(wide_backbone))
+    if protocol == "cross_dataset":
+        table = evaluation.cross_dataset_eval(
+            model, SOURCE_FAMILY, [Dataset.load(p) for p in cfg["targets"]])
+    else:
+        table = evaluation.domain_gen_eval(model, [Dataset.load(p) for p in cfg["variants"]])
+    assert report["rows"] == [list(r) for r in table["rows"]]
+    assert report["average"] == table["average"]
+
+
+@pytest.mark.parametrize("protocol, last, named", [
+    ("cross_dataset", "missing", "target dataset not found"),
+    ("domain_gen", "missing", "variant dataset not found"),
+    ("cross_dataset", "malformed", "manifest.json"),
+    ("domain_gen", "malformed", "manifest.json"),
+    ("domain_gen", "other_classes", "different class set"),
+])
+def test_streamed_eval_keeps_the_failure_contract(rig, wide_backbone, tmp_path, capsys,
+                                                   monkeypatch, protocol, last, named):
+    """A bad last target or variant exits 2 with one `error:` line and no
+    report; a missing one does so before any image is encoded."""
+    root, suite_dir, bb_dir = rig
+    bad = {"missing": tmp_path / "nope", "malformed": tmp_path / "malformed",
+           "other_classes": suite_dir / "fields_b"}[last]
+    if last == "malformed":
+        shutil.copytree(suite_dir / f"{SOURCE_FAMILY}-noise", bad)
+        (bad / "manifest.json").write_text("{not json")
+    encoded, encode_image = [], DualEncoder.encode_image
+
+    def counted_encode_image(self, images, *args, **kwargs):
+        encoded.append(len(images))
+        return encode_image(self, images, *args, **kwargs)
+
+    monkeypatch.setattr(DualEncoder, "encode_image", counted_encode_image)
+    out = tmp_path / "ev"
+    cfg = _multi_eval_config(protocol, suite_dir, wide_backbone, out, last=bad)
+    capsys.readouterr()
+    assert main(["eval", "--config", _write(tmp_path / "e.json", cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+    assert not (out / "report.json").exists()
+    if last == "missing":
+        assert encoded == []
 
 
 def test_backbone_mismatch_refused(rig, tmp_path):
