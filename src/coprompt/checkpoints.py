@@ -7,10 +7,11 @@ lossy); mid-run training state uses float64 so a restored run continues
 bit-for-bit.
 
 A checkpoint is a directory of tensor files plus a JSON manifest: the
-caller's metadata (with its `kind`), each tensor's shape and sha256, and a
-content hash over the metadata and the tensor hashes. `read_checkpoint`
-verifies all of it, and every shape against the one the loader expects,
-before handing anything back.
+caller's metadata (with its `kind` and `format_version`), each tensor's
+shape and sha256, and a content hash over the metadata, less the paths
+under `HINT`, and the tensor hashes. `read_checkpoint` verifies all of it,
+and every shape against the one the loader expects, before handing
+anything back.
 
 Every config and manifest is a `Record`: a dataclass read from and written
 to a JSON object through its own fields and annotations.
@@ -35,6 +36,9 @@ class CheckpointError(RuntimeError):
 
 _DTYPES = {"f32": "<f4", "f64": "<f8"}
 
+FORMAT_VERSION = 2  # the only one `read_checkpoint` accepts
+HINT = "hint"  # metadata key outside the content hash: paths, not content
+
 
 def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -44,9 +48,13 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _payload(array, dtype):
+    return np.asarray(array, dtype=np.float64).astype(_DTYPES[dtype]).tobytes()
+
+
 def write_tensor(directory, name, array, dtype="f32"):
     """Write the bare payload `<name>.bin`; returns its sha256."""
-    payload = np.asarray(array, dtype=np.float64).astype(_DTYPES[dtype]).tobytes()
+    payload = _payload(array, dtype)
     with open(os.path.join(directory, name + ".bin"), "wb") as f:
         f.write(payload)
     return sha256_hex(payload)
@@ -69,8 +77,14 @@ def read_tensor(directory, name, shape, dtype="f32", expected_sha=None):
 
 
 def content_hash(meta: dict, tensor_hashes: dict) -> str:
-    """Deterministic hash over checkpoint metadata plus per-tensor hashes."""
+    """Deterministic hash over checkpoint metadata less `HINT`, plus per-tensor hashes."""
+    meta = {k: v for k, v in meta.items() if k != HINT}
     return sha256_hex(canonical_json({"meta": meta, "tensors": tensor_hashes}).encode())
+
+
+def checkpoint_hash(meta, tensors, dtype="f32"):
+    """`write_checkpoint`'s content hash for the same arguments, without writing."""
+    return content_hash(meta, {name: sha256_hex(_payload(a, dtype)) for name, a in tensors})
 
 
 def write_json(path, obj):
@@ -182,14 +196,18 @@ def read_checkpoint(directory, kind, shapes_of, manifest="manifest.json", subdir
     expects; it is called only once the manifest is verified, so a caller
     may build what it loads into from the manifest there. Refuses
     (CheckpointError), in this order: a manifest of another `kind`; a
-    content hash that does not match every other manifest key plus the
-    tensor hashes; a tensor name missing from, or not in, the expected
-    names; a manifest shape other than the expected one; a payload whose
-    hash or size differs from its manifest entry.
+    `format_version` other than `FORMAT_VERSION`; a content hash that does
+    not match every other manifest key but `HINT` plus the tensor hashes; a
+    tensor name missing from, or not in, the expected names; a manifest
+    shape other than the expected one; a payload whose hash or size differs
+    from its manifest entry.
     """
     m = read_json(os.path.join(directory, manifest))
     if m.get("kind") != kind:
         raise CheckpointError(f"{directory} is not a {kind} checkpoint")
+    if m.get("format_version") != FORMAT_VERSION:
+        raise CheckpointError(f"{directory} is a {kind} checkpoint of format_version "
+                              f"{m.get('format_version')}, not {FORMAT_VERSION}")
     entries = m.get("tensors", {})
     try:
         hashes = {k: v["sha256"] for k, v in entries.items()}

@@ -31,11 +31,11 @@ from .datasets import (
     make_fewshot_split,
 )
 from .encoders import (
+    BACKBONE_MANIFEST,
     DualEncoder,
     EncoderConfig,
     Tokenizer,
     VocabularyError,
-    backbone_hash,
     build_pretrain_split,
     contrastive_pretrain,
     load_backbone,
@@ -48,6 +48,7 @@ from .evaluation import (
     write_eval_outputs,
 )
 from .training import (
+    FINETUNE_MANIFEST,
     NonFiniteLossError,
     TrainConfig,
     check_max_steps,
@@ -132,10 +133,6 @@ def _require_out(path):
 def _echo_config(out_dir, resolved):
     os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, "resolved_config.json"), resolved)
-
-
-def _worker_count(n_jobs):
-    return max(1, min(int(os.environ.get(THREADS_ENV, "1")), n_jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +240,8 @@ def cmd_finetune(cfg):
     backbone = load_backbone(_require_dir(cfg.backbone, "backbone"))
     dataset = Dataset.load(_require_dir(cfg.dataset, "dataset"))
     split = make_fewshot_split(dataset, cfg.train.shots, cfg.train.seed)
-    result = finetune(backbone, cfg.train, split, out_dir=cfg.out,
-                      max_steps=max_steps, backbone_ref=cfg.backbone)
-    _echo_config(cfg.out, dict(cfg.to_dict(), backbone_hash=backbone_hash(cfg.backbone),
-                               dataset_hash=dataset.content_hash))
+    result = finetune(backbone, cfg.train, split, out_dir=cfg.out, max_steps=max_steps)
+    _echo_config(cfg.out, cfg.to_dict())
     print(f"finetune checkpoint {result.content_hash[:12]} written to {cfg.out} "
           f"(final ce {result.metrics['final_train_ce']:.4f})")
     return 0
@@ -254,13 +249,6 @@ def cmd_finetune(cfg):
 
 # ---------------------------------------------------------------------------
 # eval
-
-
-def _load_model(checkpoint_dir, backbone_dir=None):
-    """Accepts a backbone dir or a finetune checkpoint dir."""
-    if os.path.exists(os.path.join(checkpoint_dir, "manifest.json")):
-        return load_backbone(checkpoint_dir), None, None
-    return load_finetune_checkpoint(checkpoint_dir, backbone_dir=backbone_dir)
 
 
 @dataclass
@@ -286,8 +274,15 @@ def _eval_needs(cfg, key):
 def cmd_eval(raw):
     cfg = EvalConfig.from_dict(raw)
     protocol, out = cfg.protocol, _require_out(cfg.out)
+    if any(os.path.exists(os.path.join(out, m)) for m in (BACKBONE_MANIFEST, FINETUNE_MANIFEST)):
+        raise ConfigError(f"eval out {out} holds a checkpoint or dataset manifest; "
+                          "write the eval elsewhere")
+    # a backbone directory, else a fine-tune checkpoint
     ckpt = _require_dir(cfg.checkpoint, "checkpoint")
-    model, train_cfg, manifest = _load_model(ckpt, cfg.backbone)
+    if os.path.exists(os.path.join(ckpt, BACKBONE_MANIFEST)):
+        model, train_cfg, manifest = load_backbone(ckpt), None, None
+    else:
+        model, train_cfg, manifest = load_finetune_checkpoint(ckpt, backbone_dir=cfg.backbone)
 
     if protocol == "base_to_novel":
         ds = Dataset.load(_require_dir(_eval_needs(cfg, "dataset"), "dataset"))
@@ -405,13 +400,12 @@ def _run_job(payload):
     train["seed"] = payload["seed"]
     cfg = TrainConfig.from_dict(train)
     split = make_fewshot_split(dataset, cfg.shots, cfg.seed)
-    result = finetune(backbone, cfg, split, out_dir=payload["out"],
-                      backbone_ref=payload["backbone"])
+    result = finetune(backbone, cfg, split, out_dir=payload["out"])
     report = base_to_novel_eval(result.model, dataset)
     _echo_config(payload["out"], {
         "backbone": payload["backbone"], "dataset": payload["dataset"],
-        "train": cfg.to_dict(), "dataset_hash": dataset.content_hash,
-        "axis": payload["axis"], "row": payload["row"], "seed": payload["seed"],
+        "train": cfg.to_dict(), "axis": payload["axis"], "row": payload["row"],
+        "seed": payload["seed"],
     })
     return {
         "axis": payload["axis"], "row": payload["row"], "seed": payload["seed"],
@@ -424,7 +418,7 @@ def _run_job(payload):
 
 
 def _run_jobs(jobs):
-    workers = _worker_count(len(jobs))
+    workers = max(1, min(int(os.environ.get(THREADS_ENV, "1")), len(jobs)))
     if workers <= 1:
         return [_run_job(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -439,14 +433,9 @@ def _emit_axis_tables(out, axis, labels, results):
     summary = []
     for label in labels:
         matching = [r for r in rows if r["row"] == label]
-        if not matching:
-            continue
-        summary.append([
-            label,
-            statistics.median(r["base"] for r in matching),
-            statistics.median(r["novel"] for r in matching),
-            statistics.median(r["hm"] for r in matching),
-        ])
+        if matching:
+            summary.append([label] + [statistics.median(r[key] for r in matching)
+                                      for key in ("base", "novel", "hm")])
     write_eval_outputs(out, f"ablation_{axis}_summary", summary,
                        [axis, "median_base", "median_novel", "median_hm"])
 
@@ -502,7 +491,7 @@ def cmd_ablate(cfg):
     TrainConfig.from_dict(cfg.train, "train.")  # validate early
 
     layers = EncoderConfig.from_dict(
-        read_json(os.path.join(bb_dir, "manifest.json"))["config"]).layers
+        read_json(os.path.join(bb_dir, BACKBONE_MANIFEST))["config"]).layers
     for axis in cfg.axes:
         if axis not in ABLATION_AXES:
             raise ConfigError(f"unknown ablation axis {axis!r}")
@@ -511,7 +500,7 @@ def cmd_ablate(cfg):
          os.path.join(cfg.out, "rows", axis)) for axis in cfg.axes])
     write_json(os.path.join(cfg.out, "results.json"),
                {"results": results, "component_aliases": COMPONENT_ALIASES})
-    _echo_config(cfg.out, dict(cfg.to_dict(), backbone_hash=backbone_hash(bb_dir)))
+    _echo_config(cfg.out, cfg.to_dict())
     print(f"ablation complete: {len(results)} runs across {len(cfg.axes)} axes -> {cfg.out}")
     return 0
 

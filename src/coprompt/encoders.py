@@ -15,7 +15,6 @@ index per row and one caption list per class; batches gather rows by index.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ShapeError
-from .checkpoints import Record, read_checkpoint, read_json, write_checkpoint
+from .checkpoints import FORMAT_VERSION, Record, checkpoint_hash, read_checkpoint, write_checkpoint
 from .datasets import TEMPLATE_PROMPT
 
 PAD_ID, SOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
@@ -146,7 +145,8 @@ def patchify(images, grid):
 def weight_spec(config: EncoderConfig, vocab_size):
     """Every encoder weight as (name, shape, init), in the one order used to
     draw, store and hash them. `init` is ("normal", std), a zero-mean normal
-    draw, or ("fill", value)."""
+    draw, or ("fill", value). Attention has no key bias: it would add the
+    same `q . bk` to every key's score, which the softmax cancels."""
     w = config.width
 
     def normal(name, shape, std):
@@ -167,7 +167,9 @@ def weight_spec(config: EncoderConfig, vocab_size):
             p = f"{b}.h{j}."
             out += [ones(p + "ln1.g"), zeros(p + "ln1.b")]
             for c in "qkvo":
-                out += [matrix(p + "attn.w" + c, w, w), zeros(p + "attn.b" + c)]
+                out.append(matrix(p + "attn.w" + c, w, w))
+                if c != "k":
+                    out.append(zeros(p + "attn.b" + c))
             out += [ones(p + "ln2.g"), zeros(p + "ln2.b"),
                     matrix(p + "mlp.w1", w, 4 * w), zeros(p + "mlp.b1", 4 * w),
                     matrix(p + "mlp.w2", 4 * w, w), zeros(p + "mlp.b2")]
@@ -195,6 +197,8 @@ class DualEncoder:
     tracking through a frozen encoder happens only when prompt inputs
     require it.
     """
+
+    directory = None  # where `load_backbone` found it: a hint, not its identity
 
     def __init__(self, config: EncoderConfig, tokenizer: Tokenizer, seed=0, frozen=False):
         self.config = config
@@ -227,10 +231,6 @@ class DualEncoder:
     def tau(self):
         return float(np.exp(self.weights["log_tau"].item()))
 
-    def weight_fingerprint(self):
-        from .checkpoints import sha256_hex
-        return sha256_hex(b"".join(t.data.tobytes() for t in self.weights.values()))
-
     # -- forward -------------------------------------------------------------
 
     def _attention(self, p, h):
@@ -242,7 +242,7 @@ class DualEncoder:
         split = (b, s, heads, hd)
 
         def heads_of(c, axes):
-            y = ad.matmul(h, w[p + "attn.w" + c], bias=w[p + "attn.b" + c])
+            y = ad.matmul(h, w[p + "attn.w" + c], bias=w.get(p + "attn.b" + c))
             return ad.transpose(ad.reshape(y, split), axes)
 
         q = heads_of("q", (0, 2, 1, 3))
@@ -534,26 +534,36 @@ def contrastive_pretrain(enc, split: PretrainSplit, epochs=6, lr=0.05,
 BACKBONE_MANIFEST = "manifest.json"
 
 
-def save_backbone(directory, enc: DualEncoder):
-    """Write config + vocab + per-weight f32 tensor files; returns content hash."""
+def _backbone_checkpoint(enc: DualEncoder):
+    """(metadata, tensors) of `enc`'s backbone checkpoint."""
     # displayed tau comes from the narrowed (f32) log_tau so that
     # save -> load -> save is a fixed point
     tau_meta = float(np.exp(enc.weights["log_tau"].data.astype("<f4").astype(np.float64)))
     meta = {
         "kind": "backbone",
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "config": enc.config.to_dict(),
         "vocab": enc.tokenizer.to_dict(),
         "tau": tau_meta,
     }
-    return write_checkpoint(directory, meta, [(n, t.data) for n, t in enc.param_items()],
-                            manifest=BACKBONE_MANIFEST)
+    return meta, [(n, t.data) for n, t in enc.param_items()]
+
+
+def backbone_identity(enc: DualEncoder) -> str:
+    """The content hash `save_backbone` writes for `enc`, computed in memory:
+    the one name of a backbone, wherever it is stored."""
+    return checkpoint_hash(*_backbone_checkpoint(enc))
+
+
+def save_backbone(directory, enc: DualEncoder):
+    """Write config + vocab + per-weight f32 tensor files; returns the content hash."""
+    return write_checkpoint(directory, *_backbone_checkpoint(enc), manifest=BACKBONE_MANIFEST)
 
 
 def load_backbone(directory) -> DualEncoder:
     """Load a frozen backbone through the verifying `read_checkpoint`; the
     weight names and shapes come from `weight_spec`, so nothing is drawn at
-    random."""
+    random. The encoder records `directory`."""
 
     def weight_shapes(manifest):
         config = EncoderConfig.from_dict(manifest["config"])
@@ -563,9 +573,7 @@ def load_backbone(directory) -> DualEncoder:
                                        manifest=BACKBONE_MANIFEST)
     # pop as we copy: one copy of the weights at a time
     weights = {name: Tensor(arrays.pop(name)) for name in list(arrays)}
-    return DualEncoder._holding(EncoderConfig.from_dict(manifest["config"]),
-                                Tokenizer.from_dict(manifest["vocab"]), weights)
-
-
-def backbone_hash(directory) -> str:
-    return read_json(os.path.join(directory, BACKBONE_MANIFEST))["content_hash"]
+    enc = DualEncoder._holding(EncoderConfig.from_dict(manifest["config"]),
+                               Tokenizer.from_dict(manifest["vocab"]), weights)
+    enc.directory = directory
+    return enc

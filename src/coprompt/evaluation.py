@@ -132,57 +132,42 @@ def base_to_novel_eval(model, dataset: Dataset) -> EvalReport:
         raise DatasetError("base and novel class sets overlap")
     base_acc, base_pc = _pool_accuracy(model, dataset, split.base)
     novel_acc, novel_pc = _pool_accuracy(model, dataset, split.novel)
-    per_class = dict(base_pc)
-    per_class.update(novel_pc)
     return EvalReport(
         base_acc=base_acc, novel_acc=novel_acc,
         hm=harmonic_mean(base_acc, novel_acc),
-        per_class=per_class,
+        per_class={**base_pc, **novel_pc},
         split_ids={"dataset": dataset.manifest.name,
                    "base": list(split.base), "novel": list(split.novel)})
 
 
-def cross_dataset_eval(model, source_id, targets):
-    """Zero-shot accuracy per target family plus the average.
-
-    Every target is evaluated over its full class set on the test pool.
-    `targets` may be any iterable. No dataset is held past its turn, so a
-    generator that loads each target in turn has one mapped while scoring.
-    Rows: [(name, accuracy)]; the average is omitted for no targets.
-    """
-    rows = []
-    for ds in targets:
-        class_ids = [c.id for c in ds.manifest.classes]
-        acc, _ = _pool_accuracy(model, ds, class_ids)
-        rows.append((ds.manifest.name, acc))
-    table = {"source": source_id, "rows": rows}
-    if rows:
-        table["average"] = float(np.mean([acc for _, acc in rows]))
-    return table
-
-
-def domain_gen_eval(model, variants):
-    """Accuracy per shifted variant; variants must share the source class set.
-
-    `variants` may be any iterable, drawn one dataset at a time as in
-    `cross_dataset_eval`.
-    """
-    rows = []
-    expected_names = None
-    for ds in variants:
-        names = [c.name for c in ds.manifest.classes]
-        if expected_names is None:
-            expected_names = names
-        elif names != expected_names:
-            raise DatasetError(
-                f"variant {ds.manifest.name!r} has a different class set")
-        class_ids = [c.id for c in ds.manifest.classes]
-        acc, _ = _pool_accuracy(model, ds, class_ids)
+def _score_each(model, datasets, same_classes=False):
+    """{"rows": [(name, accuracy)], "average"}: each dataset scored over its
+    full class set on the test pool; the average is omitted for none.
+    `datasets` may be any iterable. No dataset is held past its turn, so a
+    generator that loads each in turn has one mapped while scoring."""
+    rows, first_names = [], None
+    for ds in datasets:
+        names = ds.manifest.class_names
+        first_names = first_names or names
+        if same_classes and names != first_names:
+            raise DatasetError(f"variant {ds.manifest.name!r} has a different class set")
+        acc, _ = _pool_accuracy(model, ds, [c.id for c in ds.manifest.classes])
         rows.append((ds.manifest.name, acc))
     table = {"rows": rows}
     if rows:
         table["average"] = float(np.mean([acc for _, acc in rows]))
     return table
+
+
+def cross_dataset_eval(model, source_id, targets):
+    """Zero-shot accuracy per target family plus the average (see `_score_each`)."""
+    return {"source": source_id, **_score_each(model, targets)}
+
+
+def domain_gen_eval(model, variants):
+    """Accuracy per shifted variant plus the average; variants must share
+    the source class set (see `_score_each`)."""
+    return _score_each(model, variants, same_classes=True)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +183,8 @@ def report_to_csv(path, rows, header):
 
 def render_table(rows, header):
     """Fixed-width text table."""
-    cells = [header] + [[_fmt(v) for v in row] for row in rows]
+    cells = [header] + [[f"{v:.2f}" if isinstance(v, float) else str(v) for v in row]
+                        for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
     lines = []
     for r_i, row in enumerate(cells):
@@ -206,12 +192,6 @@ def render_table(rows, header):
         if r_i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.2f}"
-    return str(v)
 
 
 def write_eval_outputs(out_dir, name, rows, header):

@@ -12,6 +12,11 @@ Training state (parameters, momentum, rng streams, epoch permutation) is
 serializable at full precision, so a restored run continues bit-for-bit.
 Final checkpoints narrow to float32; the end-of-run metrics row is computed
 from the narrowed weights so re-deriving it from the checkpoint matches.
+
+A fine-tune checkpoint names its teacher by content hash (`backbone_hash`,
+see `encoders.backbone_identity`) and its data by `dataset_hash`; the
+backbone's directory is only a hint outside the hash, used when the loader
+is given no backbone. Whichever backbone is used must have that hash.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import SGD
 from .checkpoints import (
+    FORMAT_VERSION,
+    HINT,
     CheckpointError,
     Record,
     canonical_json,
@@ -41,7 +48,7 @@ from .consistency import (
     perturb_text,
 )
 from .datasets import FewShotSplit
-from .encoders import DualEncoder, backbone_hash, load_backbone
+from .encoders import DualEncoder, backbone_identity, load_backbone
 from .tuning import PromptSet, apply_adapter, make_adapters, trainable_parameters
 
 
@@ -191,7 +198,6 @@ class Trainer:
         if len(data.indices) == 0:
             raise ValueError("finetune: empty few-shot split")
         self.backbone = backbone
-        self.backbone_fingerprint = backbone.weight_fingerprint()
         self.cfg = cfg
         self.data = data
         self.store = DescriptionStore.from_manifest(
@@ -330,6 +336,7 @@ class Trainer:
             "perturb_rng": self.perturb_rng.bit_generator.state,
             "history": self.history,
             "config": self.cfg.to_dict(),
+            "format_version": FORMAT_VERSION,
         }, tensors, manifest=STATE_MANIFEST, dtype="f64")
 
     @staticmethod
@@ -398,7 +405,6 @@ class FinetuneResult:
     history: list
     metrics: dict
     content_hash: str | None = None
-    directory: str | None = None
 
 
 def _write_history_csv(path, history):
@@ -419,17 +425,16 @@ def read_history_csv(path):
     return rows
 
 
-def save_finetune_checkpoint(directory, trainer: Trainer, metrics, backbone_ref=None):
+def save_finetune_checkpoint(directory, trainer: Trainer, metrics):
     meta = {
         "kind": "finetune",
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "train": trainer.cfg.to_dict(),
-        "backbone_fingerprint": trainer.backbone_fingerprint,
-        "backbone_hash": backbone_hash(backbone_ref) if backbone_ref else None,
-        "backbone_path": backbone_ref,
+        "backbone_hash": backbone_identity(trainer.backbone),
         "dataset_hash": trainer.data.dataset.content_hash,
         "base_class_ids": list(trainer.data.base_class_ids),
         "shots_seed": trainer.data.seed,
+        HINT: {"backbone_dir": trainer.backbone.directory},
     }
     chash = write_checkpoint(directory, meta, [(n, t.data) for n, t in trainer.params],
                              manifest=FINETUNE_MANIFEST, subdir=TUNED_DIR)
@@ -440,22 +445,22 @@ def save_finetune_checkpoint(directory, trainer: Trainer, metrics, backbone_ref=
 
 def load_finetune_checkpoint(directory, backbone: DualEncoder | None = None,
                              backbone_dir=None):
-    """Rebuild the tuned model; refuses to run on a hash-mismatched backbone."""
+    """Rebuild the tuned model on `backbone`, else the one in `backbone_dir`,
+    else the one in the directory the checkpoint's hint names; refuses a
+    backbone whose content hash is not the recorded `backbone_hash`."""
     model = None
 
     def tuned_shapes(manifest):
         nonlocal backbone, model
         if backbone is None:
-            bb_dir = backbone_dir or manifest.get("backbone_path")
-            if bb_dir is None:
-                raise CheckpointError("no backbone supplied and none recorded in checkpoint")
-            if manifest["backbone_hash"] is not None and backbone_hash(bb_dir) != manifest["backbone_hash"]:
-                raise CheckpointError("backbone hash mismatch: checkpoint was trained "
-                                      "on a different backbone")
+            bb_dir = backbone_dir or manifest.get(HINT, {}).get("backbone_dir")
+            if bb_dir is None or not os.path.isdir(bb_dir):
+                raise CheckpointError(f"backbone of {directory} not found at {bb_dir}; "
+                                      "name the backbone it was trained on")
             backbone = load_backbone(bb_dir)
-        if backbone.weight_fingerprint() != manifest["backbone_fingerprint"]:
-            raise CheckpointError("backbone weights do not match the checkpoint's "
-                                  "recorded fingerprint")
+        if backbone_identity(backbone) != manifest["backbone_hash"]:
+            raise CheckpointError("backbone content hash does not match the checkpoint's "
+                                  "backbone_hash: it was trained on another backbone")
         model = tuned_model(backbone, TrainConfig.from_dict(manifest["train"]))
         return {name: t.shape for name, t in model.params}
 
@@ -468,7 +473,7 @@ def load_finetune_checkpoint(directory, backbone: DualEncoder | None = None,
 
 
 def finetune(backbone: DualEncoder, cfg: TrainConfig, data: FewShotSplit,
-             out_dir=None, max_steps=None, backbone_ref=None) -> FinetuneResult:
+             out_dir=None, max_steps=None) -> FinetuneResult:
     """Run a full fine-tune; optionally persist a checkpoint directory.
 
     `max_steps=None` trains for the config's epoch budget; a non-negative int
@@ -489,7 +494,5 @@ def finetune(backbone: DualEncoder, cfg: TrainConfig, data: FewShotSplit,
     })
     chash = None
     if out_dir is not None:
-        chash = save_finetune_checkpoint(out_dir, trainer, metrics,
-                                         backbone_ref=backbone_ref)
-    return FinetuneResult(trainer.model, cfg, trainer.history, metrics,
-                          content_hash=chash, directory=out_dir)
+        chash = save_finetune_checkpoint(out_dir, trainer, metrics)
+    return FinetuneResult(trainer.model, cfg, trainer.history, metrics, content_hash=chash)

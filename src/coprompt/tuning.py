@@ -126,9 +126,7 @@ class Adapter:
 
 def apply_adapter(adapter, e):
     """Identity when adapter is None, else the adapter transform."""
-    if adapter is None:
-        return e
-    return adapter.apply(e)
+    return e if adapter is None else adapter.apply(e)
 
 
 def make_adapters(embed_dim, modality="both", n_layers=2, rng=None):

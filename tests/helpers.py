@@ -1,6 +1,8 @@
 """Shared test oracles (central finite differences against analytic grads)
 and helpers only tests call."""
 
+import hashlib
+
 import numpy as np
 
 import coprompt.autodiff as ad
@@ -62,6 +64,13 @@ def clone_frozen(enc):
     """A frozen encoder over copies of `enc`'s weights."""
     return DualEncoder._holding(enc.config, enc.tokenizer,
                                 {name: Tensor(t.data) for name, t in enc.weights.items()})
+
+
+def weight_digest(enc):
+    """sha256 over `enc`'s float64 weight bytes. A "nothing moved" check
+    needs it: the backbone's content hash narrows to float32 first, so it
+    misses a change below float32 resolution."""
+    return hashlib.sha256(b"".join(t.data.tobytes() for t in enc.weights.values())).hexdigest()
 
 
 def nearest_centroid_accuracy(dataset, class_ids=None):

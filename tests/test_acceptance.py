@@ -20,7 +20,7 @@ from coprompt.evaluation import base_to_novel_eval, cross_dataset_eval, domain_g
 from coprompt.training import TrainConfig, Trainer, finetune, supervised_loss, total_loss
 from coprompt.tuning import PromptSet, apply_adapter, make_adapters, trainable_parameters
 
-from helpers import assert_grads_match
+from helpers import assert_grads_match, weight_digest
 
 
 @contextmanager
@@ -175,13 +175,13 @@ def test_equation_collapse_identities(backbone, source):
 
 def test_freeze_and_determinism_contract(backbone, source, tmp_path):
     with criterion("freeze + determinism + mid-run restore"):
-        fingerprint = backbone.weight_fingerprint()
+        fingerprint = weight_digest(backbone)
         cfg = TrainConfig(seed=1, shots=4, epochs=2)
         split = make_fewshot_split(source, cfg.shots, cfg.seed)
 
         r1 = finetune(backbone, cfg, split, out_dir=str(tmp_path / "a"))
         r2 = finetune(backbone, cfg, split, out_dir=str(tmp_path / "b"))
-        assert backbone.weight_fingerprint() == fingerprint
+        assert weight_digest(backbone) == fingerprint
         assert r1.content_hash == r2.content_hash
 
         straight = Trainer(backbone, cfg, split)

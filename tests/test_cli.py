@@ -209,6 +209,151 @@ def test_eval_report_does_not_depend_on_where_the_checkpoint_is(rig, tmp_path):
     assert reports[0] == reports[1]
 
 
+def _run_tree(root):
+    """The tiny pipeline under `root`, every path absolute: gen-data, a
+    1-epoch pretrain on all four families, a fine-tune, an eval of each
+    protocol and a one-row sweep."""
+    suite, bb, ft = root / "suite", root / "backbone", root / "ft"
+    assert main(["gen-data", "--out", str(suite), "--override", "source_counts=[6,1,3]",
+                 "--override", "target_counts=[4,1,2]"]) == 0
+    families = [str(suite / f) for f in (SOURCE_FAMILY, *TARGET_FAMILIES)]
+    assert main(["pretrain", "--config", _write(root / "p.json", {
+        "datasets": families, "out": str(bb), "epochs": 1, "batch_size": 8})]) == 0
+    source = str(suite / SOURCE_FAMILY)
+    assert main(["finetune", "--config", _write(root / "f.json", {
+        "backbone": str(bb), "dataset": source, "out": str(ft), "train": TINY_TRAIN})]) == 0
+    for protocol in ("base_to_novel", "train_ce"):
+        cfg = {"checkpoint": str(ft), "protocol": protocol, "dataset": source,
+               "out": str(root / protocol)}
+        assert main(["eval", "--config", _write(root / f"e_{protocol}.json", cfg)]) == 0
+    for protocol in ("cross_dataset", "domain_gen"):
+        cfg = _multi_eval_config(protocol, suite, ft, root / protocol)
+        assert main(["eval", "--config", _write(root / f"e_{protocol}.json", cfg)]) == 0
+    assert main(["sweep", "--config", _write(root / "s.json", {
+        "backbone": str(bb), "dataset": source, "out": str(root / "sweep"),
+        "axis": "lambda", "values": [2.0], "seeds": [0], "train": TINY_TRAIN})]) == 0
+
+
+def _identities(root):
+    """{(file, key): value} of every `content_hash` and `checkpoint_hash` in
+    the JSON files under `root`, and {file: bytes} of every report."""
+    found = {}
+
+    def walk(path, obj):
+        if isinstance(obj, dict):
+            for k, v in obj.items():
+                if k in ("content_hash", "checkpoint_hash"):
+                    found[path, k] = v
+                walk(path, v)
+        elif isinstance(obj, list):
+            for v in obj:
+                walk(path, v)
+
+    for p in root.rglob("*.json"):
+        walk(str(p.relative_to(root)), json.loads(p.read_text()))
+    reports = {str(p.relative_to(root)): p.read_bytes()
+               for p in root.rglob("*") if p.name in ("report.json", "train_ce.json")}
+    return found, reports
+
+
+def test_run_tree_does_not_depend_on_its_root(tmp_path):
+    """The same pipeline under two absolute roots gives the same content and
+    checkpoint hashes and byte-identical reports: no path is hashed."""
+    one, two = tmp_path / "one", tmp_path / "two" / "deeper"
+    for root in (one, two):
+        _run_tree(root)
+    hashes, reports = _identities(one)
+    assert (hashes, reports) == _identities(two)
+    files = {name for name, _ in hashes}
+    assert {"backbone/manifest.json", "ft/config.json",
+            "sweep/rows/2.0_seed0/config.json", "sweep/results.json"} <= files
+    assert len(reports) == 4
+
+
+def test_moved_finetune_evaluates_with_its_backbone_named(rig, tmp_path, capsys):
+    """A fine-tune moved with its backbone to a new root gives the same
+    report when the eval config names the backbone; with none named, the
+    stale directory the checkpoint recorded exits 2 with one `error:` line."""
+    root, suite_dir, bb_dir = rig
+    old, new = tmp_path / "old", tmp_path / "new"
+    shutil.copytree(bb_dir, old / "bb")
+    dataset = str(suite_dir / SOURCE_FAMILY)
+    assert main(["finetune", "--config", _write(tmp_path / "f.json", {
+        "backbone": str(old / "bb"), "dataset": dataset, "out": str(old / "ft"),
+        "train": TINY_TRAIN})]) == 0
+    assert read_json(old / "ft" / "config.json")["hint"] == {"backbone_dir": str(old / "bb")}
+
+    def evaluate(where, **named):
+        cfg = dict(named, checkpoint=str(where / "ft"), protocol="base_to_novel",
+                   dataset=dataset, out=str(where / "ev"))
+        return main(["eval", "--config", _write(where / "e.json", cfg)])
+
+    assert evaluate(old) == 0
+    report = (old / "ev" / "report.json").read_bytes()
+    shutil.rmtree(old / "ev")
+    os.rename(old, new)
+    assert evaluate(new, backbone=str(new / "bb")) == 0
+    assert (new / "ev" / "report.json").read_bytes() == report
+    shutil.rmtree(new / "ev")
+    capsys.readouterr()
+    assert evaluate(new) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(old / "bb") in err[0]
+    assert not (new / "ev" / "report.json").exists()
+
+
+@pytest.mark.parametrize("target", ["finetune", "backbone"])
+def test_eval_refuses_to_write_over_a_checkpoint(rig, tmp_path, capsys, target):
+    """An eval `out` that holds a checkpoint manifest exits 2 with one
+    `error:` line, and every file of the checkpoint is left byte-unchanged."""
+    root, suite_dir, bb_dir = rig
+    bb, ft = tmp_path / "bb", tmp_path / "ft"
+    shutil.copytree(bb_dir, bb)
+    dataset = str(suite_dir / SOURCE_FAMILY)
+    assert main(["finetune", "--config", _write(tmp_path / "f.json", {
+        "backbone": str(bb), "dataset": dataset, "out": str(ft), "train": TINY_TRAIN})]) == 0
+    out = {"finetune": ft, "backbone": bb}[target]
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["eval", "--config", _write(tmp_path / "e.json", {
+        "checkpoint": str(ft), "protocol": "base_to_novel", "dataset": dataset,
+        "out": str(out)})]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(out) in err[0]
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def _as_format_version_1(manifest_path):
+    """Rewrite a manifest as format_version 1, with a matching content hash,
+    so that its version is the only thing wrong with it."""
+    def edit(m):
+        m["format_version"] = 1
+        meta = {k: v for k, v in m.items() if k not in ("tensors", "content_hash")}
+        m["content_hash"] = checkpoints.content_hash(
+            meta, {k: v["sha256"] for k, v in m["tensors"].items()})
+    _edit_json(manifest_path, edit)
+
+
+@pytest.mark.parametrize("artefact", ["backbone", "finetune"])
+def test_format_version_1_is_refused(rig, tmp_path, capsys, artefact):
+    root, suite_dir, bb_dir = rig
+    bb, ft = tmp_path / "bb", tmp_path / "ft"
+    shutil.copytree(bb_dir, bb)
+    dataset = str(suite_dir / SOURCE_FAMILY)
+    assert main(["finetune", "--config", _write(tmp_path / "f.json", {
+        "backbone": str(bb), "dataset": dataset, "out": str(ft), "train": TINY_TRAIN})]) == 0
+    _as_format_version_1({"backbone": bb / "manifest.json",
+                          "finetune": ft / "config.json"}[artefact])
+    capsys.readouterr()
+    assert main(["eval", "--config", _write(tmp_path / "e.json", {
+        "checkpoint": str(ft), "protocol": "base_to_novel", "dataset": dataset,
+        "out": str(tmp_path / "ev")})]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"{artefact} checkpoint of format_version 1" in err[0]
+    assert not (tmp_path / "ev").exists()
+
+
 def _flip_tensor_byte(ft, bb, ds):
     victim = next((ft / "tuned").glob("*.bin"))
     data = bytearray(victim.read_bytes())

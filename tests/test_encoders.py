@@ -11,11 +11,12 @@ from coprompt.encoders import (
     EncoderConfig,
     Tokenizer,
     VocabularyError,
+    backbone_identity,
     load_backbone,
     save_backbone,
 )
 
-from helpers import clone_frozen
+from helpers import clone_frozen, weight_digest
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +176,7 @@ def test_clone_frozen_is_deep_and_idempotent(enc):
     for _, t in enc.param_items():
         t.data = t.data - 1.0
     clone2 = clone_frozen(clone)
-    assert clone2.weight_fingerprint() == clone.weight_fingerprint()
+    assert weight_digest(clone2) == weight_digest(clone)
 
 
 def test_frozen_forward_records_no_graph(enc, tok):
@@ -208,6 +209,18 @@ def test_backbone_checkpoint_roundtrip(tmp_path, enc, tok):
     assert np.array_equal(e1, e2)
 
 
+def test_backbone_identity_is_its_checkpoint_hash(tmp_path, enc):
+    """An encoder in memory, its saved checkpoint and the encoder loaded back
+    all have one identity, and it does not depend on where it is stored."""
+    frozen = clone_frozen(enc)
+    saved = save_backbone(str(tmp_path / "bb"), frozen)
+    loaded = load_backbone(str(tmp_path / "bb"))
+    assert saved == backbone_identity(frozen) == backbone_identity(loaded)
+    assert loaded.directory == str(tmp_path / "bb") and frozen.directory is None
+    assert save_backbone(str(tmp_path / "elsewhere" / "bb"), loaded) == saved
+    assert not any(name.endswith(".attn.bk") for name in frozen.weights)
+
+
 def test_load_backbone_draws_no_random_numbers(tmp_path, enc, monkeypatch):
     frozen = clone_frozen(enc)
     for t in frozen.weights.values():  # f32 values: the saved copy is exact
@@ -221,7 +234,7 @@ def test_load_backbone_draws_no_random_numbers(tmp_path, enc, monkeypatch):
     loaded = load_backbone(str(tmp_path / "bb"))
     monkeypatch.undo()
     assert list(loaded.weights) == list(frozen.weights)
-    assert loaded.weight_fingerprint() == frozen.weight_fingerprint()
+    assert weight_digest(loaded) == weight_digest(frozen)
 
 
 def test_backbone_checkpoint_detects_corruption(tmp_path, enc):
@@ -237,6 +250,6 @@ def test_backbone_checkpoint_detects_corruption(tmp_path, enc):
 def test_same_seed_same_fingerprint(tok):
     a = DualEncoder(EncoderConfig(), tok, seed=9)
     b = DualEncoder(EncoderConfig(), tok, seed=9)
-    assert a.weight_fingerprint() == b.weight_fingerprint()
+    assert weight_digest(a) == weight_digest(b)
     c = DualEncoder(EncoderConfig(), tok, seed=10)
-    assert c.weight_fingerprint() != a.weight_fingerprint()
+    assert weight_digest(c) != weight_digest(a)

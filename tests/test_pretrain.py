@@ -18,7 +18,7 @@ from coprompt.encoders import (
     retrieval_accuracy,
 )
 
-from helpers import clone_frozen
+from helpers import clone_frozen, weight_digest
 
 
 def test_pretrain_rejects_bad_inputs(tmp_path):
@@ -127,8 +127,8 @@ def test_smoothed_loss_decreases_over_first_100_steps(pretrain_losses):
 
 
 def test_frozen_backbone_is_frozen(backbone, source):
-    before = backbone.weight_fingerprint()
+    before = weight_digest(backbone)
     with ad.no_grad():
         backbone.encode_image(source.pixels[0])
-    assert backbone.weight_fingerprint() == before
+    assert weight_digest(backbone) == before
     assert backbone.frozen

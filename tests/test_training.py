@@ -21,7 +21,7 @@ from coprompt.training import (
     total_loss,
 )
 
-from helpers import assert_grads_match, clone_frozen
+from helpers import assert_grads_match, clone_frozen, weight_digest
 
 
 def _unit(rng, n):
@@ -146,9 +146,9 @@ def _cfg(**kw):
 
 def test_finetune_freezes_backbone(mini):
     backbone, _, split = mini
-    before = backbone.weight_fingerprint()
+    before = weight_digest(backbone)
     finetune(backbone, _cfg(), split)
-    assert backbone.weight_fingerprint() == before
+    assert weight_digest(backbone) == before
 
 
 def test_finetune_requires_frozen_backbone(mini):
@@ -303,7 +303,7 @@ def test_checkpoint_roundtrip_and_backbone_guard(mini, tmp_path):
     reloaded_bb = load_backbone(bb_dir)
 
     out = str(tmp_path / "ft")
-    result = finetune(reloaded_bb, _cfg(), split, out_dir=out, backbone_ref=bb_dir)
+    result = finetune(reloaded_bb, _cfg(), split, out_dir=out)
     model, cfg, manifest = load_finetune_checkpoint(out, backbone_dir=bb_dir)
     # tuned parameters survive the roundtrip exactly (already narrowed)
     for (n1, t1), (n2, t2) in zip(
@@ -313,7 +313,7 @@ def test_checkpoint_roundtrip_and_backbone_guard(mini, tmp_path):
 
     wrong = clone_frozen(DualEncoder(EncoderConfig(layers=2, width=32, heads=2, embed_dim=16),
                                      backbone.tokenizer, seed=99))
-    with pytest.raises(CheckpointError, match="fingerprint"):
+    with pytest.raises(CheckpointError, match="trained on another backbone"):
         load_finetune_checkpoint(out, backbone=wrong)
 
 
