@@ -277,7 +277,6 @@ def cmd_eval(raw):
     if any(os.path.exists(os.path.join(out, m)) for m in (BACKBONE_MANIFEST, FINETUNE_MANIFEST)):
         raise ConfigError(f"eval out {out} holds a checkpoint or dataset manifest; "
                           "write the eval elsewhere")
-    # a backbone directory, else a fine-tune checkpoint
     ckpt = _require_dir(cfg.checkpoint, "checkpoint")
     if os.path.exists(os.path.join(ckpt, BACKBONE_MANIFEST)):
         model, train_cfg, manifest = load_backbone(ckpt), None, None

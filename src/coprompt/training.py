@@ -453,8 +453,9 @@ def load_finetune_checkpoint(directory, backbone: DualEncoder | None = None,
     def tuned_shapes(manifest):
         nonlocal backbone, model
         if backbone is None:
-            bb_dir = backbone_dir or manifest.get(HINT, {}).get("backbone_dir")
-            if bb_dir is None or not os.path.isdir(bb_dir):
+            hint = manifest.get(HINT)  # unhashed: any JSON value may stand here
+            bb_dir = backbone_dir or (hint.get("backbone_dir") if isinstance(hint, dict) else None)
+            if not isinstance(bb_dir, str) or not os.path.isdir(bb_dir):
                 raise CheckpointError(f"backbone of {directory} not found at {bb_dir}; "
                                       "name the backbone it was trained on")
             backbone = load_backbone(bb_dir)

@@ -371,6 +371,10 @@ def _edit_finetune_lambda(ft, bb, ds):
     _edit_json(ft / "config.json", lambda m: m["train"].update({"lambda": 99.0}))
 
 
+def _edit_finetune_hint(ft, bb, ds):
+    _edit_json(ft / "config.json", lambda m: m.update({"hint": ["not", "an", "object"]}))
+
+
 def _add_backbone_manifest_key(ft, bb, ds):
     _edit_json(bb / "manifest.json", lambda m: m.update({"retrieval_accuracy": 1.0}))
 
@@ -400,12 +404,14 @@ def _grow_dataset_split(ft, bb, ds):
 @pytest.mark.parametrize("corrupt, message", [
     (_flip_tensor_byte, "hash"),
     (_edit_finetune_lambda, "hash"),
+    (_edit_finetune_hint, "not found"),
     (_add_backbone_manifest_key, "hash"),
     (_transpose_manifest_shape, "shape mismatch"),
     (_truncate_images, "truncated"),
     (_append_to_images, "bytes"),
     (_grow_dataset_split, "records"),
-], ids=["tensor_byte_flip", "finetune_config_edit", "backbone_manifest_edit",
+], ids=["tensor_byte_flip", "finetune_config_edit", "finetune_hint_edit",
+        "backbone_manifest_edit",
         "tensor_shape_edit", "images_truncated", "images_trailing_bytes",
         "dataset_split_edit"])
 def test_corrupted_checkpoint_refuses_to_run(rig, tmp_path, capsys, corrupt, message):
