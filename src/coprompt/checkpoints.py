@@ -82,9 +82,9 @@ def content_hash(meta: dict, tensor_hashes: dict) -> str:
     return sha256_hex(canonical_json({"meta": meta, "tensors": tensor_hashes}).encode())
 
 
-def checkpoint_hash(meta, tensors, dtype="f32"):
-    """`write_checkpoint`'s content hash for the same arguments, without writing."""
-    return content_hash(meta, {name: sha256_hex(_payload(a, dtype)) for name, a in tensors})
+def checkpoint_hash(meta, tensors):
+    """`write_checkpoint`'s content hash for `meta` and float32 `tensors`, unwritten."""
+    return content_hash(meta, {name: sha256_hex(_payload(a, "f32")) for name, a in tensors})
 
 
 def write_json(path, obj):
