@@ -21,8 +21,10 @@ two sides' suite, backbone and fine-tune directories are compared byte for
 byte, apart from `runtime_seconds` and the per-tensor `.json` sidecars
 older commits write (`suite_identical`, `backbone_identical`,
 `finetune_identical`), and so are the `report.json` files of both evals
-(`eval_identical`). Runs go one after another: anything else running on
-the host moves the numbers.
+(`eval_identical`). Beside each flag, `<name>_differs` lists the relative
+paths that differ or exist on one side only; for the evals it covers every
+file of both eval directories. Runs go one after another: anything else
+running on the host moves the numbers.
 """
 
 import argparse
@@ -109,6 +111,13 @@ def output_files(root):
     return files
 
 
+def differing(trees, out):
+    """Relative paths under `e2e/<out>` whose contents differ between the
+    sides, or that exist on one side only."""
+    parent, change = (output_files(trees[side] / "e2e" / out) for side in SIDES)
+    return sorted(p for p in parent.keys() | change.keys() if parent.get(p) != change.get(p))
+
+
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"values": values, "median": median, "q1": q1, "q3": q3}
@@ -135,8 +144,10 @@ def e2e(trees):
                                     "--override", f"protocol={protocol}", *inputs)
            for protocol, inputs in evals.items()}} for side in SIDES}
     for out in ("suite", "backbone", "finetune"):
-        result[f"{out}_identical"] = (output_files(trees["parent"] / "e2e" / out)
-                                      == output_files(trees["change"] / "e2e" / out))
+        result[f"{out}_differs"] = differing(trees, out)
+        result[f"{out}_identical"] = not result[f"{out}_differs"]
+    result["eval_differs"] = [f"eval_{protocol}/{p}" for protocol in evals
+                              for p in differing(trees, f"eval_{protocol}")]
     result["eval_identical"] = all(len({
         (trees[side] / "e2e" / f"eval_{protocol}" / "report.json").read_bytes()
         for side in SIDES}) == 1 for protocol in evals)

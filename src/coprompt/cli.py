@@ -41,12 +41,7 @@ from .encoders import (
     load_backbone,
     save_backbone,
 )
-from .evaluation import (
-    base_to_novel_eval,
-    cross_dataset_eval,
-    domain_gen_eval,
-    write_eval_outputs,
-)
+from .evaluation import base_to_novel_eval, cross_dataset_eval, domain_gen_eval
 from .training import (
     FINETUNE_MANIFEST,
     NonFiniteLossError,
@@ -55,7 +50,6 @@ from .training import (
     finetune,
     load_finetune_checkpoint,
     measure_train_state,
-    read_history_csv,
 )
 
 THREADS_ENV = "COPROMPT_THREADS"
@@ -264,10 +258,11 @@ class EvalConfig(Record):
 
 
 def _eval_needs(cfg, key):
-    """The value of an eval config key that the chosen protocol requires."""
+    """The value of an eval config key that the chosen protocol requires; an
+    empty list is refused as a missing key is."""
     value = getattr(cfg, key)
-    if value is None:
-        raise ConfigError(f"eval config requires {key!r}")
+    if value is None or value == []:
+        raise ConfigError(f"eval config requires a non-empty {key!r}")
     return value
 
 
@@ -283,40 +278,22 @@ def cmd_eval(raw):
     else:
         model, train_cfg, manifest = load_finetune_checkpoint(ckpt, backbone_dir=cfg.backbone)
 
+    name = "report.json"
     if protocol == "base_to_novel":
         ds = Dataset.load(_require_dir(_eval_needs(cfg, "dataset"), "dataset"))
-        report = base_to_novel_eval(model, ds)
-        write_eval_outputs(out, "base_to_novel",
-                           [[report.base_acc, report.novel_acc, report.hm]],
-                           ["base", "novel", "hm"])
-        write_json(os.path.join(out, "report.json"), report.to_dict())
-        print(f"base={report.base_acc:.2f} novel={report.novel_acc:.2f} hm={report.hm:.2f}")
+        report = base_to_novel_eval(model, ds).to_dict()
+        line = "base={base_acc:.2f} novel={novel_acc:.2f} hm={hm:.2f}".format(**report)
     elif protocol == "cross_dataset":
         # every path is checked before any scoring; then one dataset is
         # mapped at a time: the source, then each target in turn
-        source_dir = _require_dir(_eval_needs(cfg, "dataset"), "dataset")
-        target_dirs = [_require_dir(p, "target dataset") for p in _eval_needs(cfg, "targets")]
-        ds = Dataset.load(source_dir)
-        source = ds.manifest.name
-        from .evaluation import _pool_accuracy
-        source_acc, _ = _pool_accuracy(model, ds, [c.id for c in ds.manifest.classes])
-        del ds
-        table = cross_dataset_eval(model, source, (Dataset.load(p) for p in target_dirs))
-        header = ["source"] + [name for name, _ in table["rows"]] + ["average"]
-        row = [source_acc] + [acc for _, acc in table["rows"]] + [table.get("average", "")]
-        write_eval_outputs(out, "cross_dataset", [row], header)
-        write_json(os.path.join(out, "report.json"),
-                   {"source": {"name": source, "accuracy": source_acc},
-                    "rows": table["rows"], "average": table.get("average")})
-        print(f"cross-dataset average={table.get('average')}")
+        dirs = [_require_dir(_eval_needs(cfg, "dataset"), "dataset")]
+        dirs += [_require_dir(p, "target dataset") for p in _eval_needs(cfg, "targets")]
+        report = cross_dataset_eval(model, (Dataset.load(p) for p in dirs))
+        line = f"cross-dataset average={report['average']}"
     elif protocol == "domain_gen":
         variant_dirs = [_require_dir(p, "variant dataset") for p in _eval_needs(cfg, "variants")]
-        table = domain_gen_eval(model, (Dataset.load(p) for p in variant_dirs))
-        header = [name for name, _ in table["rows"]] + ["average"]
-        row = [acc for _, acc in table["rows"]] + [table.get("average", "")]
-        write_eval_outputs(out, "domain_gen", [row], header)
-        write_json(os.path.join(out, "report.json"), table)
-        print(f"domain-gen average={table.get('average')}")
+        report = domain_gen_eval(model, (Dataset.load(p) for p in variant_dirs))
+        line = f"domain-gen average={report['average']}"
     elif protocol == "train_ce":
         if train_cfg is None:
             raise ConfigError("train_ce protocol requires a finetune checkpoint")
@@ -326,17 +303,17 @@ def cmd_eval(raw):
         split = make_fewshot_split(ds, train_cfg.shots, train_cfg.seed)
         store = DescriptionStore.from_manifest(ds.manifest, model.tokenizer,
                                                model.backbone.config.text_len)
-        measured = measure_train_state(model, split, store, train_cfg.consistency)
-        recorded = [r for r in read_history_csv(os.path.join(ckpt, "history.csv"))
-                    if r["kind"] == "final"][-1]
-        os.makedirs(out, exist_ok=True)
-        write_json(os.path.join(out, "train_ce.json"),
-                   {"recomputed_ce": measured["final_train_ce"],
-                    "recorded_ce": recorded["ce"],
-                    "difference": abs(measured["final_train_ce"] - recorded["ce"])})
-        print(f"recomputed ce={measured['final_train_ce']!r} recorded={recorded['ce']!r}")
+        measured = measure_train_state(model, split, store,
+                                       train_cfg.consistency)["final_train_ce"]
+        recorded = read_json(os.path.join(ckpt, "metrics.json"))["final_train_ce"]
+        name, report = "train_ce.json", {"recomputed_ce": measured, "recorded_ce": recorded,
+                                         "difference": abs(measured - recorded)}
+        line = f"recomputed ce={measured!r} recorded={recorded!r}"
     else:
         raise ConfigError(f"unknown eval protocol {protocol!r}")
+    os.makedirs(out, exist_ok=True)
+    write_json(os.path.join(out, name), report)
+    print(line)
     _echo_config(out, raw)
     return 0
 
@@ -424,24 +401,21 @@ def _run_jobs(jobs):
         return list(pool.map(_run_job, jobs))
 
 
-def _emit_axis_tables(out, axis, labels, results):
-    rows = [r for r in results if r["axis"] == axis]
-    per_seed = [[r["row"], r["seed"], r["base"], r["novel"], r["hm"]] for r in rows]
-    write_eval_outputs(out, f"ablation_{axis}", per_seed,
-                       ["row", "seed", "base", "novel", "hm"])
-    summary = []
-    for label in labels:
-        matching = [r for r in rows if r["row"] == label]
-        if matching:
-            summary.append([label] + [statistics.median(r[key] for r in matching)
-                                      for key in ("base", "novel", "hm")])
-    write_eval_outputs(out, f"ablation_{axis}_summary", summary,
-                       [axis, "median_base", "median_novel", "median_hm"])
+def _write_axis_summary(out, axis, labels, results):
+    """`ablation_<axis>_summary.csv`: each row's median base, novel and HM over its seeds."""
+    with open(os.path.join(out, f"ablation_{axis}_summary.csv"), "w") as f:
+        f.write(f"{axis},median_base,median_novel,median_hm\n")
+        for label in labels:
+            matching = [r for r in results if r["axis"] == axis and r["row"] == label]
+            if matching:
+                medians = [statistics.median(r[key] for r in matching)
+                           for key in ("base", "novel", "hm")]
+                f.write(",".join(map(str, [label, *medians])) + "\n")
 
 
 def _run_axes(bb_dir, ds_dir, out, base_train, seeds, axes):
     """Fine-tune and evaluate every (row, seed) of every axis, then write a
-    per-seed and a median table per axis; returns the per-run results.
+    median table per axis; returns the per-run results.
 
     `axes` holds (axis, rows, rows_dir) triples. A row is (label, {dotted
     train-config path: value}); it runs under `rows_dir/<label>_seed<seed>`.
@@ -465,7 +439,7 @@ def _run_axes(bb_dir, ds_dir, out, base_train, seeds, axes):
     results = _run_jobs(jobs)
     os.makedirs(out, exist_ok=True)
     for axis, rows, _ in axes:
-        _emit_axis_tables(out, axis, [label for label, _ in rows], results)
+        _write_axis_summary(out, axis, [label for label, _ in rows], results)
     return results
 
 
@@ -489,8 +463,7 @@ def cmd_ablate(cfg):
     ds_dir = _require_dir(cfg.dataset, "dataset")
     TrainConfig.from_dict(cfg.train, "train.")  # validate early
 
-    layers = EncoderConfig.from_dict(
-        read_json(os.path.join(bb_dir, BACKBONE_MANIFEST))["config"]).layers
+    layers = load_backbone(bb_dir).config.layers
     for axis in cfg.axes:
         if axis not in ABLATION_AXES:
             raise ConfigError(f"unknown ablation axis {axis!r}")

@@ -41,10 +41,6 @@ IMAGE_TILE = 32  # most images per graph-free pass: smaller peak temporaries
 class VocabularyError(ValueError):
     """Words outside the tokenizer vocabulary where UNK is not allowed."""
 
-    def __init__(self, words):
-        self.words = sorted(set(words))
-        super().__init__(f"unknown words: {', '.join(self.words)}")
-
 
 class Tokenizer:
     """Lowercase whitespace word tokenizer with PAD/SOS/EOS/UNK specials."""
@@ -54,7 +50,6 @@ class Tokenizer:
         for w in sorted(set(words)):
             if w not in self.vocab:
                 self.vocab[w] = len(self.vocab)
-        self._inverse = {i: w for w, i in self.vocab.items()}
 
     @property
     def size(self):
@@ -69,11 +64,8 @@ class Tokenizer:
         if strict:
             unknown = [w for w in words if w not in self.vocab]
             if unknown:
-                raise VocabularyError(unknown)
+                raise VocabularyError(f"unknown words: {', '.join(sorted(set(unknown)))}")
         return [SOS_ID] + [self.vocab.get(w, UNK_ID) for w in words] + [EOS_ID]
-
-    def decode(self, ids):
-        return " ".join(self._inverse[i] for i in ids if i >= len(SPECIALS))
 
     @staticmethod
     def from_manifests(manifests):
@@ -92,7 +84,6 @@ class Tokenizer:
     def from_dict(vocab):
         tok = Tokenizer([])
         tok.vocab = {w: int(i) for w, i in vocab.items()}
-        tok._inverse = {i: w for w, i in tok.vocab.items()}
         return tok
 
 

@@ -10,7 +10,6 @@ harmonic mean), cross-dataset transfer, and domain-shifted variants.
 from __future__ import annotations
 
 import hashlib
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -141,10 +140,10 @@ def base_to_novel_eval(model, dataset: Dataset) -> EvalReport:
 
 
 def _score_each(model, datasets, same_classes=False):
-    """{"rows": [(name, accuracy)], "average"}: each dataset scored over its
-    full class set on the test pool; the average is omitted for none.
-    `datasets` may be any iterable. No dataset is held past its turn, so a
-    generator that loads each in turn has one mapped while scoring."""
+    """[(name, accuracy)]: each dataset scored over its full class set on the
+    test pool. `datasets` may be any iterable. No dataset is held past its
+    turn, so a generator that loads each in turn has one mapped while
+    scoring."""
     rows, first_names = [], None
     for ds in datasets:
         names = ds.manifest.class_names
@@ -153,49 +152,24 @@ def _score_each(model, datasets, same_classes=False):
             raise DatasetError(f"variant {ds.manifest.name!r} has a different class set")
         acc, _ = _pool_accuracy(model, ds, [c.id for c in ds.manifest.classes])
         rows.append((ds.manifest.name, acc))
-    table = {"rows": rows}
-    if rows:
-        table["average"] = float(np.mean([acc for _, acc in rows]))
-    return table
+    return rows
 
 
-def cross_dataset_eval(model, source_id, targets):
-    """Zero-shot accuracy per target family plus the average (see `_score_each`)."""
-    return {"source": source_id, **_score_each(model, targets)}
+def _average(rows):
+    return float(np.mean([acc for _, acc in rows])) if rows else None
+
+
+def cross_dataset_eval(model, datasets):
+    """The source's accuracy, then zero-shot accuracy per target family and
+    the targets' average. `datasets` is the source followed by the targets
+    (see `_score_each`)."""
+    (name, accuracy), *targets = _score_each(model, datasets)
+    return {"source": {"name": name, "accuracy": accuracy},
+            "rows": targets, "average": _average(targets)}
 
 
 def domain_gen_eval(model, variants):
     """Accuracy per shifted variant plus the average; variants must share
     the source class set (see `_score_each`)."""
-    return _score_each(model, variants, same_classes=True)
-
-
-# ---------------------------------------------------------------------------
-# report rendering
-
-
-def report_to_csv(path, rows, header):
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(str(v) for v in row) + "\n")
-
-
-def render_table(rows, header):
-    """Fixed-width text table."""
-    cells = [header] + [[f"{v:.2f}" if isinstance(v, float) else str(v) for v in row]
-                        for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-    lines = []
-    for r_i, row in enumerate(cells):
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        if r_i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines) + "\n"
-
-
-def write_eval_outputs(out_dir, name, rows, header):
-    os.makedirs(out_dir, exist_ok=True)
-    report_to_csv(os.path.join(out_dir, f"{name}.csv"), rows, header)
-    with open(os.path.join(out_dir, f"{name}.txt"), "w") as f:
-        f.write(render_table(rows, header))
+    rows = _score_each(model, variants, same_classes=True)
+    return {"rows": rows, "average": _average(rows)}

@@ -53,11 +53,7 @@ from .tuning import PromptSet, apply_adapter, make_adapters, trainable_parameter
 
 
 class NonFiniteLossError(RuntimeError):
-    """Training aborted on a NaN/Inf loss; carries the offending step."""
-
-    def __init__(self, step, ce, cc):
-        self.step = step
-        super().__init__(f"non-finite loss at step {step}: ce={ce}, cc={cc}")
+    """Training aborted on a NaN/Inf loss; the message names the step."""
 
 
 @dataclass
@@ -266,7 +262,7 @@ class Trainer:
         # every tuned input of the consistency term also feeds ce, so a
         # finite ce means finite inputs there
         if not np.isfinite(ce_val):
-            raise NonFiniteLossError(self.step, ce_val, float("nan"))
+            raise NonFiniteLossError(f"non-finite loss at step {self.step}: ce={ce_val}, cc=nan")
 
         cc = None
         if cons.enabled:
@@ -285,14 +281,14 @@ class Trainer:
         cc_val = cc.item() if cc is not None else 0.0
         total_val = ce_val + cfg.lambda_ * cc_val if coupled else ce_val
         if not np.isfinite(total_val):
-            raise NonFiniteLossError(self.step, ce_val, cc_val)
+            raise NonFiniteLossError(
+                f"non-finite loss at step {self.step}: ce={ce_val}, cc={cc_val}")
         total = total_loss(ce, cc, cfg.lambda_) if coupled else ce
 
         ad.backward(total)
         self.opt.step()
         self.step += 1
-        self.history.append({"step": self.step, "kind": "step",
-                             "ce": ce_val, "cc": cc_val, "total": total_val})
+        self.history.append({"step": self.step, "ce": ce_val, "cc": cc_val, "total": total_val})
 
     def run(self, max_steps=None):
         """Train until the run has taken `max_steps` steps in total.
@@ -318,7 +314,6 @@ class Trainer:
     def final_metrics(self):
         """Deterministic post-training measurements on unperturbed inputs."""
         m = measure_train_state(self.model, self.data, self.store, self.cfg.consistency)
-        m["final_train_total"] = m["final_train_ce"] + self.cfg.lambda_ * m["final_train_cc"]
         m["tau"] = self.backbone.tau
         return m
 
@@ -409,20 +404,9 @@ class FinetuneResult:
 
 def _write_history_csv(path, history):
     with open(path, "w") as f:
-        f.write("step,kind,ce,cc,total\n")
+        f.write("step,ce,cc,total\n")
         for row in history:
-            f.write(f"{row['step']},{row['kind']},{row['ce']!r},{row['cc']!r},{row['total']!r}\n")
-
-
-def read_history_csv(path):
-    rows = []
-    with open(path) as f:
-        next(f)
-        for line in f:
-            step, kind, ce, cc, total = line.strip().split(",")
-            rows.append({"step": int(step), "kind": kind, "ce": float(ce),
-                         "cc": float(cc), "total": float(total)})
-    return rows
+            f.write(f"{row['step']},{row['ce']!r},{row['cc']!r},{row['total']!r}\n")
 
 
 def save_finetune_checkpoint(directory, trainer: Trainer, metrics):
@@ -488,11 +472,6 @@ def finetune(backbone: DualEncoder, cfg: TrainConfig, data: FewShotSplit,
     metrics = trainer.final_metrics()
     metrics["steps"] = trainer.step
     metrics["runtime_seconds"] = time.time() - start
-    trainer.history.append({
-        "step": trainer.step, "kind": "final",
-        "ce": metrics["final_train_ce"], "cc": metrics["final_train_cc"],
-        "total": metrics["final_train_total"],
-    })
     chash = None
     if out_dir is not None:
         chash = save_finetune_checkpoint(out_dir, trainer, metrics)

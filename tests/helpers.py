@@ -7,7 +7,7 @@ import numpy as np
 
 import coprompt.autodiff as ad
 from coprompt.autodiff import Tensor
-from coprompt.encoders import DualEncoder
+from coprompt.encoders import SPECIALS, DualEncoder
 
 
 def finite_diff_grad(f, arrays, h=1e-5):
@@ -71,6 +71,12 @@ def weight_digest(enc):
     needs it: the backbone's content hash narrows to float32 first, so it
     misses a change below float32 resolution."""
     return hashlib.sha256(b"".join(t.data.tobytes() for t in enc.weights.values())).hexdigest()
+
+
+def decode(tokenizer, ids):
+    """The words of token ids, specials dropped: `Tokenizer.encode` inverted."""
+    inverse = {i: w for w, i in tokenizer.vocab.items()}
+    return " ".join(inverse[i] for i in ids if i >= len(SPECIALS))
 
 
 def nearest_centroid_accuracy(dataset, class_ids=None):

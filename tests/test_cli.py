@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import shutil
 import weakref
 
@@ -16,9 +17,11 @@ from coprompt.encoders import (
     DualEncoder,
     EncoderConfig,
     Tokenizer,
+    VocabularyError,
     load_backbone,
     save_backbone,
 )
+from coprompt.training import NonFiniteLossError
 
 
 def _write(path, obj):
@@ -135,8 +138,8 @@ def test_finetune_then_eval_flow(rig, tmp_path):
         "backbone": str(bb_dir), "dataset": str(suite_dir / "fields_a"),
         "out": str(ft_dir), "train": TINY_TRAIN})
     assert main(["finetune", "--config", cfg]) == 0
-    assert (ft_dir / "history.csv").exists()
-    assert (ft_dir / "metrics.json").exists()
+    assert (ft_dir / "history.csv").read_text().startswith("step,ce,cc,total\n1,")
+    assert "final_train_total" not in read_json(ft_dir / "metrics.json")
     assert read_json(ft_dir / "resolved_config.json")["max_steps"] is None
 
     ev = _write(tmp_path / "e.json", {
@@ -145,7 +148,7 @@ def test_finetune_then_eval_flow(rig, tmp_path):
     assert main(["eval", "--config", ev]) == 0
     report = read_json(tmp_path / "ev" / "report.json")
     assert 0 <= report["base_acc"] <= 100
-    assert (tmp_path / "ev" / "base_to_novel.txt").exists()
+    assert sorted(os.listdir(tmp_path / "ev")) == ["report.json", "resolved_config.json"]
 
 
 def test_finetune_records_max_steps(rig, tmp_path):
@@ -515,6 +518,8 @@ def _manifest_split_train_as_string(m):
     ("gen-data", ["source_counts=5"], None, "source_counts"),
     ("eval", ["protocol=cross_dataset", "targets=5"], None, "targets"),
     ("eval", ["protocol=domain_gen", "variants=5"], None, "variants"),
+    ("eval", ["protocol=cross_dataset", "targets=[]"], None, "targets"),
+    ("eval", ["protocol=domain_gen", "variants=[]"], None, "variants"),
     ("ablate", ["seeds=5"], None, "seeds"),
     ("ablate", ["train=[1]"], None, "train"),
     ("sweep", ["values=5"], None, "values"),
@@ -524,7 +529,8 @@ def _manifest_split_train_as_string(m):
     ("finetune", ["train.prompt_m=12"], None, "text_len"),
 ], ids=["train_lr_string", "train_shots_float", "train_consistency_int", "train_int",
         "override_inside_train_int", "train_lambda_bool", "gen_data_source_counts_int",
-        "eval_targets_int", "eval_variants_int", "ablate_seeds_int", "ablate_train_list",
+        "eval_targets_int", "eval_variants_int", "eval_targets_empty",
+        "eval_variants_empty", "ablate_seeds_int", "ablate_train_list",
         "sweep_values_int", "manifest_noise_missing", "manifest_split_train_string",
         "pretrain_captions_over_text_len", "finetune_prompts_over_text_len"])
 def test_malformed_input_exits_2(rig, tmp_path, capsys, command, overrides,
@@ -624,7 +630,7 @@ def test_eval_maps_one_dataset_at_a_time(rig, wide_backbone, tmp_path, monkeypat
     model = load_backbone(str(wide_backbone))
     if protocol == "cross_dataset":
         table = evaluation.cross_dataset_eval(
-            model, SOURCE_FAMILY, [Dataset.load(p) for p in cfg["targets"]])
+            model, [Dataset.load(p) for p in [cfg["dataset"], *cfg["targets"]]])
     else:
         table = evaluation.domain_gen_eval(model, [Dataset.load(p) for p in cfg["variants"]])
     assert report["rows"] == [list(r) for r in table["rows"]]
@@ -712,7 +718,12 @@ def test_ablate_structure(rig, tmp_path):
     # redundant perturbation-without-consistency combos are recorded as aliases
     aliases = read_json(out / "results.json")["component_aliases"]
     assert set(aliases.values()) == {"adapter_no_consistency", "baseline"}
-    assert (out / "ablation_components_summary.csv").exists()
+    assert sorted(os.listdir(out)) == sorted(
+        ["results.json", "resolved_config.json", "rows"]
+        + [f"ablation_{axis}_summary.csv" for axis in read_json(cfg)["axes"]])
+    summary = (out / "ablation_lambda_summary.csv").read_text().splitlines()
+    assert summary[0] == "lambda,median_base,median_novel,median_hm"
+    assert [line.split(",")[0] for line in summary[1:]] == ["0.1", "1.0", "2.0", "8.0"]
 
 
 def test_ablate_rejects_unknown_axis(rig, tmp_path):
@@ -776,15 +787,62 @@ def test_seed_outside_seeds_exits_2(rig, tmp_path, capsys, command, setting):
 
 
 def test_threads_env_respected(rig, tmp_path, monkeypatch):
-    monkeypatch.setenv("COPROMPT_THREADS", "2")
+    """Two workers write the serial run's results.json byte for byte, every
+    checkpoint_hash included."""
     root, suite_dir, bb_dir = rig
-    out = tmp_path / "sw"
-    cfg = _write(tmp_path / "s.json", {
-        "backbone": str(bb_dir), "dataset": str(suite_dir / "fields_a"),
-        "out": str(out), "axis": "lambda", "values": [0.1, 1.0],
-        "seeds": [0], "train": TINY_TRAIN})
-    assert main(["sweep", "--config", cfg]) == 0
-    assert len(read_json(out / "results.json")["results"]) == 2
+    results = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("COPROMPT_THREADS", threads)
+        out = tmp_path / f"sw{threads}"
+        cfg = _write(tmp_path / f"s{threads}.json", {
+            "backbone": str(bb_dir), "dataset": str(suite_dir / "fields_a"),
+            "out": str(out), "axis": "lambda", "values": [0.1, 1.0],
+            "seeds": [0], "train": TINY_TRAIN})
+        assert main(["sweep", "--config", cfg]) == 0
+        results[threads] = (out / "results.json").read_bytes()
+    assert len(json.loads(results["1"])["results"]) == 2
+    assert results["2"] == results["1"]
+
+
+@pytest.mark.parametrize("error", [
+    NonFiniteLossError("non-finite loss at step 0: ce=nan, cc=nan"),
+    VocabularyError("unknown words: slatestripes"),
+])
+def test_worker_errors_survive_pickle(error):
+    """A job's error crosses the worker pool with its type and message."""
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error) and str(back) == str(error)
+
+
+def test_worker_error_prints_the_serial_line(rig, tmp_path, capsys, monkeypatch):
+    """A vocabulary miss in a worker prints the line the serial run prints."""
+    root, suite_dir, bb_dir = rig
+    lines = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("COPROMPT_THREADS", threads)
+        cfg = _write(tmp_path / f"s{threads}.json", {
+            "backbone": str(bb_dir), "dataset": str(suite_dir / "fields_c"),
+            "out": str(tmp_path / f"sw{threads}"), "axis": "lambda", "values": [0.1, 1.0],
+            "seeds": [0], "train": TINY_TRAIN})
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg]) == 2
+        lines[threads] = capsys.readouterr().err.splitlines()
+    assert len(lines["1"]) == 1 and lines["1"][0].startswith("error: unknown words: ")
+    assert lines["2"] == lines["1"]
+
+
+@pytest.mark.parametrize("command", ["ablate", "sweep"])
+def test_runner_refuses_a_backbone_that_is_not_one(rig, tmp_path, capsys, command):
+    """A dataset directory named as the backbone exits 2 with one `error:`
+    line before any job runs."""
+    root, suite_dir, bb_dir = rig
+    out = tmp_path / "out"
+    cfg = _command_config(command, suite_dir / "fields_a", suite_dir / "fields_a", out)
+    capsys.readouterr()
+    assert main([command, "--config", _write(tmp_path / "c.json", cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
 
 
 def test_override_parsing(tmp_path):

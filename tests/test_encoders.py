@@ -16,7 +16,7 @@ from coprompt.encoders import (
     save_backbone,
 )
 
-from helpers import clone_frozen, weight_digest
+from helpers import clone_frozen, decode, weight_digest
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +39,12 @@ def _rand_image(seed=0):
 def test_tokenizer_roundtrip(tok):
     ids = tok.encode("a Zebra, of stripes!")
     assert ids[0] == 1 and ids[-1] == 2  # SOS/EOS
-    assert tok.decode(ids) == "a zebra of stripes" or tok.decode(ids) == "zebra of stripes"
+    assert decode(tok, ids) == "a zebra of stripes" or decode(tok, ids) == "zebra of stripes"
 
 
 def test_tokenizer_roundtrip_in_vocab():
     tk = Tokenizer(["red", "dots"])
-    assert tk.decode(tk.encode("red dots")) == "red dots"
+    assert decode(tk, tk.encode("red dots")) == "red dots"
 
 
 def test_tokenizer_unknown_words(tok):

@@ -17,7 +17,6 @@ from coprompt.evaluation import (
     domain_gen_eval,
     harmonic_mean,
     predict,
-    render_table,
 )
 
 from helpers import clone_frozen
@@ -31,7 +30,7 @@ class StubTokenizer:
         for i, n in enumerate(self.names):
             if n in text:
                 return [i]
-        raise VocabularyError(text.split())
+        raise VocabularyError(f"unknown words: {text}")
 
 
 class StubModel:
@@ -212,7 +211,8 @@ def test_hm_recomputable_from_report(suite, frozen):
 
 def test_cross_dataset_matches_per_image_recomputation(suite, frozen):
     targets = [suite["fields_b"], suite["fields_c"]]
-    table = cross_dataset_eval(frozen, "fields_a", targets)
+    table = cross_dataset_eval(frozen, [suite["fields_a"], *targets])
+    assert table["source"]["name"] == "fields_a"
     for (name, acc), ds in zip(table["rows"], targets):
         class_names = [c.name for c in ds.manifest.classes]
         correct = total = 0
@@ -226,10 +226,10 @@ def test_cross_dataset_matches_per_image_recomputation(suite, frozen):
         np.mean([a for _, a in table["rows"]]), abs=1e-12)
 
 
-def test_cross_dataset_empty_targets(frozen):
-    table = cross_dataset_eval(frozen, "fields_a", [])
+def test_cross_dataset_empty_targets(suite, frozen):
+    table = cross_dataset_eval(frozen, [suite["fields_a"]])
     assert table["rows"] == []
-    assert "average" not in table
+    assert table["average"] is None
 
 
 def test_cross_dataset_vocabulary_miss(suite, tmp_path):
@@ -237,7 +237,7 @@ def test_cross_dataset_vocabulary_miss(suite, tmp_path):
     tok = Tokenizer.from_manifests([suite["fields_a"].manifest])
     narrow = clone_frozen(DualEncoder(EncoderConfig(), tok, seed=0))
     with pytest.raises(VocabularyError, match="amber"):
-        cross_dataset_eval(narrow, "fields_a", [suite["fields_b"]])
+        cross_dataset_eval(narrow, [suite["fields_a"], suite["fields_b"]])
 
 
 def test_domain_identity_reproduces_source_exactly(suite, frozen):
@@ -293,10 +293,3 @@ def test_predict_reuses_the_class_matrix_while_its_inputs_hold(suite, frozen, mo
     predict(model, images[0], names[::-1])
     assert len(encodes) == before + 1
 
-
-def test_render_table_layout():
-    text = render_table([["fields_b", 41.2], ["fields_c", 38.9]], ["target", "accuracy"])
-    lines = text.splitlines()
-    assert lines[0].startswith("target")
-    assert set(lines[1]) <= {"-", " "}
-    assert "41.20" in lines[2]

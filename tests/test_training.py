@@ -168,6 +168,9 @@ def test_finetune_deterministic(mini):
         assert n1 == n2
         assert np.array_equal(t1, t2)
     assert [h["total"] for h in r1.history] == [h["total"] for h in r2.history]
+    drop_runtime = [{k: v for k, v in r.metrics.items() if k != "runtime_seconds"}
+                    for r in (r1, r2)]
+    assert drop_runtime[0] == drop_runtime[1]
 
 
 def _params_of(result):
@@ -193,6 +196,7 @@ def test_lambda_zero_matches_detached_bitwise(mini):
     for (n1, t1), (n2, t2) in zip(_params_of(a), _params_of(b)):
         assert np.array_equal(t1, t2), f"trajectory diverged at {n1}"
     assert [h["ce"] for h in a.history] == [h["ce"] for h in b.history]
+    assert a.metrics["final_train_ce"] == b.metrics["final_train_ce"]
 
 
 def test_consistency_disabled_collapses_to_prompts_only(mini):
@@ -203,8 +207,8 @@ def test_consistency_disabled_collapses_to_prompts_only(mini):
     b = finetune(backbone, _cfg(consistency=off, adapter_modality="none"), split)
     for (_, t1), (_, t2) in zip(_params_of(a), _params_of(b)):
         assert np.array_equal(t1, t2)
-    # per-step rows carry no consistency term (the final row is telemetry)
-    assert all(h["cc"] == 0.0 for h in a.history if h["kind"] == "step")
+    # no step carries a consistency term
+    assert all(h["cc"] == 0.0 for h in a.history)
 
 
 def test_perturb_ignored_when_consistency_disabled(mini):
