@@ -46,7 +46,6 @@ from .encoders import (
     save_backbone,
 )
 from .evaluation import (
-    EvalReport,
     base_to_novel_eval,
     cross_dataset_eval,
     domain_gen_eval,

@@ -12,7 +12,7 @@ Each op's backward keeps only the arrays it reads:
 - `matmul`, `mul` and `div` keep an operand's data only if the other operand
   requires grad (`div` keeps its divisor whenever it is recorded);
 - `gelu` keeps its derivative, `relu` a bool mask, `exp` and `softmax` their
-  output, `power`, `log` and `l2_normalize` their input, `layernorm` the
+  output, `l2_normalize` its input, `layernorm` the
   normalized input and the inverse deviation;
 - `add`, `neg`, `reshape`, `transpose`, `concat`, `slice_`, `broadcast_to`,
   `sum_` and `embedding_lookup` keep no array.
@@ -45,7 +45,7 @@ class ShapeError(ValueError):
 
 
 class DomainError(ValueError):
-    """Input lies outside an op's documented domain (e.g. log of x <= 0)."""
+    """Input lies outside an op's documented domain (e.g. an out-of-range index)."""
 
 
 class GradError(RuntimeError):
@@ -155,9 +155,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -370,15 +367,6 @@ def div(a, b):
     return _from_op(data, (a, b), bw)
 
 
-def power(a, p):
-    a = _wrap(a)
-    p = float(p)
-    if p != int(p) and np.any(a.data < 0):
-        raise DomainError(f"pow: fractional exponent {p} on negative input")
-    a_data, va = a.data, _vertex(a)
-    return _from_op(a_data ** p, (a,), lambda g: _accumulate(va, g * p * a_data ** (p - 1.0)))
-
-
 def matmul(a, b, bias=None):
     """a @ b, plus `bias` broadcast over the result when given, as one node."""
     a, b = _wrap(a), _wrap(b)
@@ -557,14 +545,6 @@ def exp(a):
     return _from_op(data, (a,), lambda g: _accumulate(va, g * data))
 
 
-def log(a):
-    a = _wrap(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: input must be strictly positive")
-    a_data, va = a.data, _vertex(a)
-    return _from_op(np.log(a_data), (a,), lambda g: _accumulate(va, g / a_data))
-
-
 def softmax(a, axis=-1):
     a = _wrap(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -639,24 +619,20 @@ def cosine_similarity(a, b, axis=-1):
 
 
 def cross_entropy_from_logits(logits, labels):
-    """-log softmax at the label index; batched inputs return the row mean.
+    """Mean over rows of -log softmax at each row's label.
 
-    Uses the log-sum-exp max shift, so arbitrarily large finite logits are
-    safe. Accepts (C,) logits with an int label or (B, C) with (B,) labels.
+    Takes (B, C) logits with (B,) int labels. Uses the log-sum-exp max
+    shift, so arbitrarily large finite logits are safe.
     """
     logits = _wrap(logits)
-    if logits.ndim == 1:
-        lab = np.asarray([int(labels)])
-        z = logits.data[None, :]
-    elif logits.ndim == 2:
-        lab = np.asarray(labels, dtype=np.int64)
-        if lab.shape != (logits.shape[0],):
-            raise ShapeError(
-                f"cross_entropy_from_logits: labels shape {lab.shape} does not match batch {logits.shape[0]}"
-            )
-        z = logits.data
-    else:
-        raise ShapeError(f"cross_entropy_from_logits: logits must be 1-D or 2-D, got {logits.shape}")
+    if logits.ndim != 2:
+        raise ShapeError(f"cross_entropy_from_logits: logits must be (B, C), got {logits.shape}")
+    lab = np.asarray(labels, dtype=np.int64)
+    if lab.shape != (logits.shape[0],):
+        raise ShapeError(
+            f"cross_entropy_from_logits: labels shape {lab.shape} does not match batch {logits.shape[0]}"
+        )
+    z = logits.data
     c = z.shape[1]
     if np.any(lab < 0) or np.any(lab >= c):
         raise ValueError(f"cross_entropy_from_logits: label out of range for {c} classes")
@@ -666,14 +642,14 @@ def cross_entropy_from_logits(logits, labels):
     rows = np.arange(z.shape[0])
     losses = lse - shifted[rows, lab]
     data = np.float64(losses.mean())
-    vl, single = _vertex(logits), logits.ndim == 1
+    vl = _vertex(logits)
 
     def bw(g):
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
         p[rows, lab] -= 1.0
         p *= float(g) / len(rows)
-        _accumulate(vl, p[0] if single else p)
+        _accumulate(vl, p)
 
     return _from_op(np.asarray(data), (logits,), bw)
 

@@ -198,7 +198,6 @@ def cmd_pretrain(cfg):
         "chance": history.get("chance"),
         "tau": history["tau"],
         "runtime_seconds": time.time() - start,
-        "content_hash": chash,
     }
     write_json(os.path.join(cfg.out, "pretrain_metrics.json"), metrics)
     with open(os.path.join(cfg.out, "pretrain_loss.csv"), "w") as f:
@@ -266,6 +265,20 @@ def _eval_needs(cfg, key):
     return value
 
 
+def _recorded_train_ce(ckpt):
+    """The number at `final_train_ce` in a fine-tune checkpoint's
+    metrics.json. That file is outside the checkpoint's content hash, so a
+    bad one is refused here, naming the file and the key."""
+    path = os.path.join(ckpt, "metrics.json")
+    try:
+        value = read_json(path)["final_train_ce"]
+    except (ValueError, TypeError, KeyError):  # not JSON, not an object, no key
+        value = None
+    if type(value) not in (int, float):
+        raise CheckpointError(f"{path}: no number at key 'final_train_ce'")
+    return value
+
+
 def cmd_eval(raw):
     cfg = EvalConfig.from_dict(raw)
     protocol, out = cfg.protocol, _require_out(cfg.out)
@@ -281,7 +294,7 @@ def cmd_eval(raw):
     name = "report.json"
     if protocol == "base_to_novel":
         ds = Dataset.load(_require_dir(_eval_needs(cfg, "dataset"), "dataset"))
-        report = base_to_novel_eval(model, ds).to_dict()
+        report = base_to_novel_eval(model, ds)
         line = "base={base_acc:.2f} novel={novel_acc:.2f} hm={hm:.2f}".format(**report)
     elif protocol == "cross_dataset":
         # every path is checked before any scoring; then one dataset is
@@ -305,7 +318,7 @@ def cmd_eval(raw):
                                                model.backbone.config.text_len)
         measured = measure_train_state(model, split, store,
                                        train_cfg.consistency)["final_train_ce"]
-        recorded = read_json(os.path.join(ckpt, "metrics.json"))["final_train_ce"]
+        recorded = _recorded_train_ce(ckpt)
         name, report = "train_ce.json", {"recomputed_ce": measured, "recorded_ce": recorded,
                                          "difference": abs(measured - recorded)}
         line = f"recomputed ce={measured!r} recorded={recorded!r}"
@@ -385,7 +398,7 @@ def _run_job(payload):
     })
     return {
         "axis": payload["axis"], "row": payload["row"], "seed": payload["seed"],
-        "base": report.base_acc, "novel": report.novel_acc, "hm": report.hm,
+        "base": report["base_acc"], "novel": report["novel_acc"], "hm": report["hm"],
         "checkpoint_hash": result.content_hash,
         "text_deviation": result.metrics["text_deviation"],
         "image_deviation": result.metrics["image_deviation"],

@@ -169,10 +169,8 @@ def _as_batch(x, name):
     t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(t.data)):
         raise ValueError(f"consistency_loss: non-finite values in {name}")
-    if t.ndim == 1:
-        t = ad.reshape(t, (1, t.shape[0]))
     if t.ndim != 2:
-        raise ShapeError(f"consistency_loss: {name} must be 1-D or 2-D, got {t.shape}")
+        raise ShapeError(f"consistency_loss: {name} must be (B, E), got {t.shape}")
     return t
 
 

@@ -278,25 +278,23 @@ class DualEncoder:
     def encode_text(self, tokens, prompts=None):
         """Encode token id sequences into unit-norm joint embeddings.
 
-        `tokens` is one sequence of ints, giving an (embed_dim,) embedding,
-        or a sequence of such sequences, giving (B, embed_dim) rows in input
-        order. Pass a batch as a list of tuples: tuples hash, so callers can
-        key results by sentence. Sequences may differ in length: each length
-        runs as its own dense group, so no row sees padding, and a row agrees
-        with a one-sentence call up to rounding. `prompts` is a list of
+        `tokens` is a batch of int sequences; the result is (B, embed_dim)
+        rows in input order. Pass it as a list of tuples: tuples hash, so
+        callers can key results by sentence. Sequences may differ in length:
+        each length runs as its own dense group, so no row sees padding, and a
+        row agrees with a batch of one up to rounding. `prompts` is a list of
         per-layer (m, width) tensors; layer 0 is prepended, deeper prompted
         layers have their first m rows replaced.
         """
         cfg = self.config
         seqs = list(tokens)
-        single = bool(seqs) and np.ndim(seqs[0]) == 0
-        if single:
-            seqs = [seqs]
         if not seqs:
             raise ShapeError("encode_text: empty batch")
         m = prompts[0].shape[0] if prompts else 0
         groups = {}
         for i, seq in enumerate(seqs):
+            if np.ndim(seq) != 1:
+                raise ShapeError(f"encode_text: row {i} is not a token sequence; pass a batch")
             n = len(seq)
             if n == 0:
                 raise ShapeError("encode_text: empty token sequence")
@@ -315,33 +313,26 @@ class DualEncoder:
         # one concat and one gather put the length groups back in input order
         x = ad.slice_(ad.concat(pooled, axis=0), np.argsort(order))
         x = ad.layernorm(x, w["text.lnf.g"], w["text.lnf.b"])
-        e = self._project("text", x)
-        return ad.reshape(e, (cfg.embed_dim,)) if single else e
+        return self._project("text", x)
 
     def encode_image(self, images, prompts=None):
         """Encode images with pixel values in [0, 1].
 
-        One (image_size, image_size, channels) array gives an (embed_dim,)
-        embedding; a (B, image_size, image_size, channels) batch gives
-        (B, embed_dim) rows. `prompts` is a list of per-layer (m, width)
-        vision prompt tensors, injected as in `encode_text`.
+        A (B, image_size, image_size, channels) batch gives (B, embed_dim)
+        rows. `prompts` is a list of per-layer (m, width) vision prompt
+        tensors, injected as in `encode_text`.
         """
         cfg = self.config
         imgs = np.asarray(images)
         expected = (cfg.image_size, cfg.image_size, cfg.channels)
-        if imgs.ndim not in (3, 4) or imgs.shape[-3:] != expected:
-            raise ShapeError(f"image shape {imgs.shape} does not match {expected} "
-                             f"or (B,) + {expected}")
-        single = imgs.ndim == 3
-        if single:
-            imgs = imgs[None]
+        if imgs.ndim != 4 or imgs.shape[1:] != expected:
+            raise ShapeError(f"image shape {imgs.shape} does not match (B,) + {expected}")
         if imgs.shape[0] == 0:
             raise ShapeError("encode_image: empty batch")
         # near-equal tiles: a tile of one image would take other BLAS kernels
         n = 1 if ad.records([*self.weights.values(), *(prompts or ())]) else -(-len(imgs) // IMAGE_TILE)
         rows = [self._encode_image_tile(t, prompts) for t in np.array_split(imgs, n)]
-        e = rows[0] if n == 1 else Tensor(np.concatenate([r.data for r in rows]))
-        return ad.reshape(e, (cfg.embed_dim,)) if single else e
+        return rows[0] if n == 1 else Tensor(np.concatenate([r.data for r in rows]))
 
     def _encode_image_tile(self, imgs, prompts):
         cfg = self.config

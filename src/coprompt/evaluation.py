@@ -11,26 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoints import Record
 from .datasets import Dataset, DatasetError
 from .encoders import DualEncoder, template_tokens
 from .training import TunedModel
 from .tuning import PromptSet
-
-
-@dataclass
-class EvalReport(Record):
-    what = "eval report"
-    base_acc: float
-    novel_acc: float
-    hm: float
-    per_class: dict = field(default_factory=dict)
-    split_ids: dict = field(default_factory=dict)
 
 
 def _as_model(model):
@@ -74,8 +62,9 @@ def _predict_class_matrix(model, class_names):
 
 
 def predict(model, image, class_names):
-    """(argmax class index, probability vector) for one image.
+    """(argmax class index, probability vector) for one (H, W, C) image.
 
+    The single-image entry point: the image runs as a batch of one.
     Probabilities are softmax(similarities / tau); ties break to the lowest
     class index.
     """
@@ -84,7 +73,7 @@ def predict(model, image, class_names):
     model = _as_model(model)
     with ad.no_grad():
         class_embs = _predict_class_matrix(model, class_names)
-        emb = model.image_embedding(image).data
+        emb = model.image_embedding(np.asarray(image)[None]).data[0]
     logits = (class_embs @ emb) / model.tau
     z = np.exp(logits - logits.max())
     probs = z / z.sum()
@@ -124,19 +113,19 @@ def _pool_accuracy(model, dataset: Dataset, class_ids, pool="test"):
     return overall, per_class
 
 
-def base_to_novel_eval(model, dataset: Dataset) -> EvalReport:
-    """Accuracy on held-out base images and on novel images, plus HM."""
+def base_to_novel_eval(model, dataset: Dataset):
+    """Accuracy on held-out base images and on novel images, plus HM, as
+    the `report.json` object."""
     split = dataset.manifest.split
     if set(split.base) & set(split.novel):
         raise DatasetError("base and novel class sets overlap")
     base_acc, base_pc = _pool_accuracy(model, dataset, split.base)
     novel_acc, novel_pc = _pool_accuracy(model, dataset, split.novel)
-    return EvalReport(
-        base_acc=base_acc, novel_acc=novel_acc,
-        hm=harmonic_mean(base_acc, novel_acc),
-        per_class={**base_pc, **novel_pc},
-        split_ids={"dataset": dataset.manifest.name,
-                   "base": list(split.base), "novel": list(split.novel)})
+    return {"base_acc": base_acc, "novel_acc": novel_acc,
+            "hm": harmonic_mean(base_acc, novel_acc),
+            "per_class": {**base_pc, **novel_pc},
+            "split_ids": {"dataset": dataset.manifest.name,
+                          "base": list(split.base), "novel": list(split.novel)}}
 
 
 def _score_each(model, datasets, same_classes=False):

@@ -86,21 +86,17 @@ class TrainConfig(Record):
 # losses
 
 
-def supervised_loss(image_emb, class_embs, label, tau):
-    """-log softmax at the label over similarity logits scaled by 1/tau.
+def supervised_loss(image_emb, class_embs, labels, tau):
+    """-log softmax at each row's label over similarity logits scaled by 1/tau.
 
     Embeddings are expected unit-norm, so the dot products are cosine
-    similarities. Accepts a single (E,) embedding with an int label or a
-    batched (B, E) with (B,) labels (batch mean).
+    similarities. Takes (B, E) embeddings with (B,) labels and returns the
+    batch mean.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    single = image_emb.ndim == 1
-    if single:
-        image_emb = ad.reshape(image_emb, (1, image_emb.shape[0]))
-        label = np.asarray([int(label)])
     logits = ad.matmul(image_emb, ad.transpose(class_embs, (1, 0))) * (1.0 / tau)
-    return ad.cross_entropy_from_logits(logits, label)
+    return ad.cross_entropy_from_logits(logits, labels)
 
 
 def total_loss(ce, cc, lam):
@@ -136,13 +132,12 @@ class TunedModel:
         return self.backbone.tokenizer
 
     def text_embedding(self, tokens):
-        """One token sequence -> (E,), or a batch of them -> (B, E); see
-        `DualEncoder.encode_text`."""
+        """A batch of token sequences -> (B, E); see `DualEncoder.encode_text`."""
         e = self.backbone.encode_text(tokens, prompts=self.prompt_set.text_schedule())
         return apply_adapter(self.adapters.get("text"), e)
 
     def image_embedding(self, images):
-        """One (H, W, C) image -> (E,), or a (B, H, W, C) batch -> (B, E)."""
+        """A (B, H, W, C) image batch -> (B, E)."""
         _, vision_sched = self.prompt_set.schedules()
         e = self.backbone.encode_image(images, prompts=vision_sched)
         return apply_adapter(self.adapters.get("image"), e)

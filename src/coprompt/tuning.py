@@ -72,7 +72,7 @@ class PromptSet:
 
 
 class Adapter:
-    """Bottleneck transform over an output embedding.
+    """Bottleneck transform over a batch of output embeddings.
 
     1 to 3 linear layers with ReLU between them, added to the input and
     re-normalized; the last layer starts at zero so the adapter is an exact
@@ -103,16 +103,15 @@ class Adapter:
             self.bs.append(Tensor(np.zeros(dims[i + 1]), requires_grad=True))
 
     def apply(self, e):
-        if e.ndim not in (1, 2) or e.shape[-1] != self.embed_dim:
+        """(B, embed_dim) embeddings in, (B, embed_dim) unit-norm rows out."""
+        if e.ndim != 2 or e.shape[1] != self.embed_dim:
             raise ShapeError(
-                f"adapter expects embeddings of dim {self.embed_dim}, got {e.shape}")
-        h = e if e.ndim == 2 else ad.reshape(e, (1, self.embed_dim))
+                f"adapter expects a batch of embeddings of dim {self.embed_dim}, got {e.shape}")
+        h = e
         for i, (w, b) in enumerate(zip(self.ws, self.bs)):
             h = ad.matmul(h, w, bias=b)
             if i < len(self.ws) - 1:
                 h = ad.relu(h)
-        if e.ndim == 1:
-            h = ad.reshape(h, (self.embed_dim,))
         return ad.l2_normalize(e + h)
 
     def param_items(self):

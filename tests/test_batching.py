@@ -1,9 +1,12 @@
-"""One embedding path: a batch gives, row for row, what one-example calls give.
+"""One embedding path, and it takes batches: a batch gives, row for row,
+what batches of one give.
 
 Every caller (pretrain, train step, train-state measurement, evaluation)
-sends whole batches to the encoders, and one-example calls run the same
-code as a batch of one. These tests pin the two forms together at 1e-12,
-for embeddings and for the gradients of the tuning parameters.
+sends whole batches to the encoders; `evaluation.predict`, the one
+single-image entry point, runs its image as a batch of one. These tests pin
+a batch and its batches of one together at 1e-12, for embeddings and for the
+gradients of the tuning parameters, and check that a one-example input is
+refused.
 """
 
 import tracemalloc
@@ -56,26 +59,11 @@ def test_batched_embeddings_match_per_example(prompts, adapters):
     with ad.no_grad():
         img = model.image_embedding(images).data
         txt = model.text_embedding(tokens).data
-        img_rows = np.stack([model.image_embedding(x).data for x in images])
-        txt_rows = np.stack([model.text_embedding(list(t)).data for t in tokens])
+        img_rows = np.concatenate([model.image_embedding(x[None]).data for x in images])
+        txt_rows = np.concatenate([model.text_embedding([t]).data for t in tokens])
     assert img.shape == (len(images), 8) and txt.shape == (len(tokens), 8)
     assert np.abs(img - img_rows).max() <= TOL
     assert np.abs(txt - txt_rows).max() <= TOL
-
-
-@pytest.mark.parametrize("prompts,adapters", COMBOS)
-def test_batch_of_one_is_the_single_call(prompts, adapters):
-    model = _model(prompts, adapters)
-    images, tokens = _inputs(model, n_images=1)
-    with ad.no_grad():
-        img = model.image_embedding(images).data
-        single_img = model.image_embedding(images[0]).data
-        txt = model.text_embedding(tokens[1:2]).data
-        single_txt = model.text_embedding(tokens[1]).data
-    assert img.shape == (1, 8) and single_img.shape == (8,)
-    assert txt.shape == (1, 8) and single_txt.shape == (8,)
-    assert np.abs(img[0] - single_img).max() <= TOL
-    assert np.abs(txt[0] - single_txt).max() <= TOL
 
 
 def test_text_batch_accepts_lists_and_arrays_alike():
@@ -109,10 +97,10 @@ def test_batched_loss_gradients_match_per_example(prompts, adapters):
                     + (model.text_embedding(tokens) * Tensor(r_txt)).sum())
     loss = None
     for i, x in enumerate(images):
-        term = (model.image_embedding(x) * Tensor(r_img[i])).sum()
+        term = (model.image_embedding(x[None]) * Tensor(r_img[i:i + 1])).sum()
         loss = term if loss is None else loss + term
     for i, t in enumerate(tokens):
-        loss = loss + (model.text_embedding(list(t)) * Tensor(r_txt[i])).sum()
+        loss = loss + (model.text_embedding([t]) * Tensor(r_txt[i:i + 1])).sum()
     per_example = grads(loss)
 
     reached = [gb for gb in batched if gb.size and np.abs(gb).max() > 0]
@@ -132,6 +120,16 @@ def test_empty_batches_and_bad_shapes_raise():
         enc.encode_image(np.zeros((0, 16, 16, 3)))
     with pytest.raises(ShapeError, match="image shape"):
         enc.encode_image(np.zeros((2, 8, 16, 16, 3)))
+    # one example, not a batch of one
+    with pytest.raises(ShapeError):
+        enc.encode_image(np.zeros((16, 16, 3)))
+    with pytest.raises(ShapeError):
+        enc.encode_text([1, 2, 3])
+    with pytest.raises(ShapeError):
+        ad.cross_entropy_from_logits(Tensor(np.zeros(4)), 1)
+    adapter = make_adapters(8, "text")["text"]
+    with pytest.raises(ShapeError):
+        adapter.apply(Tensor(np.zeros(8)))
 
 
 # tiles a graph-free image batch falls into: three near-equal ones
@@ -151,7 +149,7 @@ def test_graph_free_image_tiles_equal_one_pass_rows(prompts, adapters, n_images,
         rows = model.image_embedding(images).data
         per_tile = np.concatenate([model.image_embedding(t).data
                                    for t in np.array_split(images, 3)])
-        per_example = np.stack([model.image_embedding(x).data for x in images])
+        per_example = np.concatenate([model.image_embedding(x[None]).data for x in images])
         monkeypatch.setattr(encoders, "IMAGE_TILE", n_images)
         one_pass = model.image_embedding(images).data
     assert rows.shape == (n_images, 8)

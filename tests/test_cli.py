@@ -129,6 +129,8 @@ def test_pretrain_deterministic_hashes(rig, tmp_path):
     h1 = read_json(bb_dir / "manifest.json")["content_hash"]
     h2 = read_json(tmp_path / "bb2" / "manifest.json")["content_hash"]
     assert h1 == h2
+    # the verified manifest is the one record of the backbone's hash
+    assert "content_hash" not in read_json(tmp_path / "bb2" / "pretrain_metrics.json")
 
 
 def test_finetune_then_eval_flow(rig, tmp_path):
@@ -175,6 +177,29 @@ def test_eval_rederives_final_train_ce(rig, tmp_path):
     assert main(["eval", "--config", ev]) == 0
     out = read_json(tmp_path / "ce" / "train_ce.json")
     assert out["difference"] <= 1e-9
+
+
+@pytest.mark.parametrize("metrics", [
+    '{"steps": 1}', '[1.5]', '{"final_train_ce": 1.', '{"final_train_ce": "1.5"}',
+], ids=["key_missing", "not_an_object", "truncated", "not_a_number"])
+def test_train_ce_refuses_a_bad_metrics_file(rig, tmp_path, capsys, metrics):
+    """metrics.json is outside the checkpoint hash, so `train_ce` checks the
+    recorded value itself: one `error:` line naming the file and the key."""
+    root, suite_dir, bb_dir = rig
+    ft_dir = tmp_path / "ft"
+    assert main(["finetune", "--config", _write(tmp_path / "f.json", {
+        "backbone": str(bb_dir), "dataset": str(suite_dir / "fields_a"),
+        "out": str(ft_dir), "train": TINY_TRAIN})]) == 0
+    (ft_dir / "metrics.json").write_text(metrics)
+    capsys.readouterr()
+    ev = _write(tmp_path / "e.json", {
+        "checkpoint": str(ft_dir), "protocol": "train_ce",
+        "dataset": str(suite_dir / "fields_a"), "out": str(tmp_path / "ce")})
+    assert main(["eval", "--config", ev]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "metrics.json" in err[0] and "final_train_ce" in err[0]
+    assert not (tmp_path / "ce" / "train_ce.json").exists()
 
 
 def test_eval_zero_step_checkpoint_equals_backbone(rig, tmp_path):

@@ -29,7 +29,8 @@ def store():
 
 
 def _unit(rng, n=8):
-    v = rng.normal(size=n)
+    """One unit-norm embedding as a (1, n) batch."""
+    v = rng.normal(size=(1, n))
     return v / np.linalg.norm(v)
 
 
@@ -160,9 +161,9 @@ def test_loss_four_at_antipodal():
 
 
 def test_loss_orthogonal_text_identical_image():
-    t = np.array([1.0, 0, 0, 0])
-    t_orth = np.array([0.0, 1, 0, 0])
-    i = np.array([0.0, 0, 1, 0])
+    t = np.array([[1.0, 0, 0, 0]])
+    t_orth = np.array([[0.0, 1, 0, 0]])
+    i = np.array([[0.0, 0, 1, 0]])
     cfg = ConsistencyConfig()
     loss = consistency_loss(cfg, t, Tensor(t_orth), i, Tensor(i.copy()))
     assert loss.item() == pytest.approx(1.0, abs=1e-10)
@@ -224,7 +225,7 @@ def test_loss_gradients_match_finite_differences():
     for criterion in ("cosine", "l1", "mse"):
         cfg = ConsistencyConfig(criterion=criterion)
         ft, fi = _unit(rng), _unit(rng)
-        tt, ti = rng.normal(size=8), rng.normal(size=8)
+        tt, ti = rng.normal(size=(1, 8)), rng.normal(size=(1, 8))
         assert_grads_match(
             lambda ts: consistency_loss(cfg, ft, ts[0], fi, ts[1]), [tt, ti])
 
@@ -234,6 +235,6 @@ def test_loss_errors():
     t = _unit(rng)
     cfg = ConsistencyConfig()
     with pytest.raises(ShapeError):
-        consistency_loss(cfg, t, Tensor(np.zeros(4)), t, Tensor(t))
+        consistency_loss(cfg, t, Tensor(np.zeros((1, 4))), t, Tensor(t))
     with pytest.raises(ValueError, match="non-finite"):
         consistency_loss(cfg, t * np.nan, Tensor(t), t, Tensor(t))

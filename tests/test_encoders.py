@@ -82,29 +82,29 @@ def test_config_from_dict_rejects_unknown_keys():
 
 
 def test_encode_text_deterministic_and_normed(enc, tok):
-    ids = tok.encode("a photo of zebra stripes")
+    ids = [tuple(tok.encode("a photo of zebra stripes"))]
     a = enc.encode_text(ids)
     b = enc.encode_text(ids)
     assert np.array_equal(a.data, b.data)
     assert abs(np.linalg.norm(a.data) - 1.0) <= 1e-12
-    assert a.data.shape == (32,)
+    assert a.data.shape == (1, 32)
 
 
 def test_encode_text_overlength(enc, tok):
-    ids = tok.encode(" ".join(["zebra"] * 20))
+    ids = [tuple(tok.encode(" ".join(["zebra"] * 20)))]
     with pytest.raises(ShapeError, match="text_len"):
         enc.encode_text(ids)
 
 
 def test_encode_text_prompt_overlength(enc, tok):
-    ids = tok.encode(" ".join(["zebra"] * 13))  # 15 tokens with SOS/EOS
+    ids = [tuple(tok.encode(" ".join(["zebra"] * 13)))]  # 15 tokens with SOS/EOS
     prompts = [Tensor(np.zeros((2, 64)))] * 4
     with pytest.raises(ShapeError, match="prompts"):
         enc.encode_text(ids, prompts=prompts)
 
 
 def test_zero_prompts_match_promptless_bitwise(enc, tok):
-    ids = tok.encode("a photo of dots")
+    ids = [tuple(tok.encode("a photo of dots"))]
     plain = enc.encode_text(ids)
     m0 = [Tensor(np.zeros((0, 64)))] * 4
     prompted = enc.encode_text(ids, prompts=m0)
@@ -113,7 +113,7 @@ def test_zero_prompts_match_promptless_bitwise(enc, tok):
 
 def test_prompts_change_embedding(enc, tok):
     rng = np.random.default_rng(0)
-    ids = tok.encode("a photo of dots")
+    ids = [tuple(tok.encode("a photo of dots"))]
     plain = enc.encode_text(ids).data
     prompts = [Tensor(rng.normal(0, 0.02, (2, 64))) for _ in range(4)]
     prompted = enc.encode_text(ids, prompts=prompts).data
@@ -127,7 +127,7 @@ def test_encode_image_zero_regression_lock(enc):
     # frozen on first implementation run (seed=123, vocab of 4 words + specials)
     tok = Tokenizer(["photo", "of", "zebra", "dots"])
     e = DualEncoder(EncoderConfig(), tok, seed=123)
-    emb = e.encode_image(np.zeros((32, 32, 3))).data
+    emb = e.encode_image(np.zeros((1, 32, 32, 3))).data[0]
     expected_first8 = np.array([
         -0.12663472, -0.04310246, -0.35317245, -0.16140069,
         -0.06877571, -0.02348168, -0.03233865, -0.08017688])
@@ -136,28 +136,28 @@ def test_encode_image_zero_regression_lock(enc):
 
 
 def test_encode_image_norm_and_shape_error(enc):
-    emb = enc.encode_image(_rand_image())
+    emb = enc.encode_image(_rand_image()[None])
     assert abs(np.linalg.norm(emb.data) - 1.0) <= 1e-12
     with pytest.raises(ShapeError, match="image shape"):
-        enc.encode_image(np.zeros((16, 16, 3)))
+        enc.encode_image(np.zeros((1, 16, 16, 3)))
 
 
 def test_patch_permutation_changes_embedding(enc):
     img = _rand_image(7)
-    base = enc.encode_image(img).data
+    base = enc.encode_image(img[None]).data
     permuted = img.copy()
     # swap two 8x8 patches
     permuted[0:8, 0:8], permuted[8:16, 0:8] = img[8:16, 0:8].copy(), img[0:8, 0:8].copy()
-    other = enc.encode_image(permuted).data
+    other = enc.encode_image(permuted[None]).data
     assert np.linalg.norm(base - other) > 0
 
 
 def test_vision_prompts_enter_image_branch(enc):
     rng = np.random.default_rng(1)
     img = _rand_image(3)
-    plain = enc.encode_image(img).data
+    plain = enc.encode_image(img[None]).data
     prompts = [Tensor(rng.normal(0, 0.02, (2, 64))) for _ in range(4)]
-    prompted = enc.encode_image(img, prompts=prompts).data
+    prompted = enc.encode_image(img[None], prompts=prompts).data
     assert np.linalg.norm(plain - prompted) > 0
 
 
@@ -181,14 +181,14 @@ def test_clone_frozen_is_deep_and_idempotent(enc):
 
 def test_frozen_forward_records_no_graph(enc, tok):
     frozen = clone_frozen(enc)
-    out = frozen.encode_text(tok.encode("a photo of dots"))
+    out = frozen.encode_text([tuple(tok.encode("a photo of dots"))])
     assert out._parents == ()
     assert not out.requires_grad
 
 
 def test_trainable_forward_records_graph(tok):
     trainable = DualEncoder(EncoderConfig(), tok, seed=0)
-    out = trainable.encode_text(tok.encode("a photo of dots"))
+    out = trainable.encode_text([tuple(tok.encode("a photo of dots"))])
     assert out.requires_grad and out._parents
 
 
@@ -203,7 +203,7 @@ def test_backbone_checkpoint_roundtrip(tmp_path, enc, tok):
     # save -> load -> save is a fixed point (f32 narrowing happens once)
     h2 = save_backbone(str(tmp_path / "bb2"), again)
     assert h1 == h2
-    ids = tok.encode("a photo of zebra")
+    ids = [tuple(tok.encode("a photo of zebra"))]
     e1 = again.encode_text(ids).data
     e2 = load_backbone(str(tmp_path / "bb2")).encode_text(ids).data
     assert np.array_equal(e1, e2)

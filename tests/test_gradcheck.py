@@ -134,9 +134,6 @@ def test_grad_activations(rng):
     assert_grads_match(lambda ts: (ad.relu(ts[0]) * Tensor(r)).sum(), [a])
     assert_grads_match(lambda ts: (ad.gelu(ts[0]) * Tensor(r)).sum(), [a])
     assert_grads_match(lambda ts: (ad.exp(ts[0]) * Tensor(r)).sum(), [a])
-    assert_grads_match(lambda ts: (ad.log(ts[0]) * Tensor(r)).sum(),
-                       [rng.uniform(0.5, 2.0, size=(3, 4))])
-    assert_grads_match(lambda ts: (ts[0] ** 3.0 * Tensor(r)).sum(), [a])
 
 
 @pytest.mark.parametrize("rng", _rngs())
@@ -153,8 +150,8 @@ def test_grad_cosine_and_cross_entropy(rng):
     a = rng.normal(size=8)
     b = rng.normal(size=8)
     assert_grads_match(lambda ts: ad.cosine_similarity(ts[0], ts[1]), [a, b])
-    logits = rng.normal(size=5) * 3
-    assert_grads_match(lambda ts: ad.cross_entropy_from_logits(ts[0], 2), [logits])
+    logits = (rng.normal(size=5) * 3)[None]
+    assert_grads_match(lambda ts: ad.cross_entropy_from_logits(ts[0], np.asarray([2])), [logits])
     batched = rng.normal(size=(4, 5)) * 3
     labels = rng.integers(0, 5, size=4)
     assert_grads_match(lambda ts: ad.cross_entropy_from_logits(ts[0], labels), [batched])

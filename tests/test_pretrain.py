@@ -56,8 +56,9 @@ def test_large_tau_drives_loss_to_log_batch(tmp_path):
     split = build_pretrain_split([ds], tok, 16)
     b = 8
     with ad.no_grad():
-        img = np.stack([enc.encode_image(pixels).data for pixels in split.images[:b]])
-        txt = np.stack([enc.encode_text(split.captions[c][0]).data for c in split.classes[:b]])
+        img = np.concatenate([enc.encode_image(pixels[None]).data for pixels in split.images[:b]])
+        txt = np.concatenate([enc.encode_text([split.captions[c][0]]).data
+                              for c in split.classes[:b]])
     logits = Tensor(img @ txt.T / enc.tau)
     ce = ad.cross_entropy_from_logits(logits, np.arange(b))
     assert ce.item() == pytest.approx(math.log(b), abs=5e-3)
@@ -129,6 +130,6 @@ def test_smoothed_loss_decreases_over_first_100_steps(pretrain_losses):
 def test_frozen_backbone_is_frozen(backbone, source):
     before = weight_digest(backbone)
     with ad.no_grad():
-        backbone.encode_image(source.pixels[0])
+        backbone.encode_image(source.pixels[:1])
     assert weight_digest(backbone) == before
     assert backbone.frozen

@@ -34,18 +34,18 @@ def _unit(rng, n):
 
 def test_supervised_loss_single_class_is_zero():
     rng = np.random.default_rng(0)
-    e = Tensor(_unit(rng, 8))
+    e = Tensor(_unit(rng, 8)[None])
     cls = Tensor(_unit(rng, 8).reshape(1, 8))
-    assert supervised_loss(e, cls, 0, tau=0.07).item() == pytest.approx(0.0, abs=1e-12)
+    assert supervised_loss(e, cls, np.asarray([0]), tau=0.07).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_supervised_loss_equidistant_is_log_c():
     # image embedding orthogonal to every class embedding: uniform softmax
     c = 5
     eye = np.eye(8)
-    img = Tensor(eye[7])
+    img = Tensor(eye[7:8])
     cls = Tensor(eye[:c])
-    loss = supervised_loss(img, cls, 2, tau=0.3)
+    loss = supervised_loss(img, cls, np.asarray([2]), tau=0.3)
     assert loss.item() == pytest.approx(math.log(c), abs=1e-12)
 
 
@@ -54,7 +54,7 @@ def test_supervised_loss_matches_scalar_oracle():
     img = _unit(rng, 8)
     cls = np.stack([_unit(rng, 8) for _ in range(3)])
     tau = 0.07
-    loss = supervised_loss(Tensor(img), Tensor(cls), 1, tau=tau).item()
+    loss = supervised_loss(Tensor(img[None]), Tensor(cls), np.asarray([1]), tau=tau).item()
     sims = cls @ img / tau
     expect = -np.log(np.exp(sims[1]) / np.exp(sims).sum())
     assert loss == pytest.approx(expect, abs=1e-10)
@@ -63,15 +63,15 @@ def test_supervised_loss_matches_scalar_oracle():
 def test_supervised_loss_label_out_of_range():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError, match="out of range"):
-        supervised_loss(Tensor(_unit(rng, 4)), Tensor(np.eye(4)[:2]), 2, tau=0.1)
+        supervised_loss(Tensor(_unit(rng, 4)[None]), Tensor(np.eye(4)[:2]), np.asarray([2]), tau=0.1)
 
 
 def test_supervised_loss_gradcheck():
     rng = np.random.default_rng(3)
-    img = _unit(rng, 6)
+    img = _unit(rng, 6)[None]
     cls = np.stack([_unit(rng, 6) for _ in range(4)])
     assert_grads_match(
-        lambda ts: supervised_loss(ts[0], ts[1], 2, tau=0.2), [img, cls])
+        lambda ts: supervised_loss(ts[0], ts[1], np.asarray([2]), tau=0.2), [img, cls])
 
 
 # -- total loss -------------------------------------------------------------------

@@ -30,7 +30,7 @@ def test_adapter_identity_at_init():
     a = Adapter(32, n_layers=2, rng=np.random.default_rng(1))
     for _ in range(10):
         x = _unit(rng)
-        out = apply_adapter(a, Tensor(x)).data
+        out = apply_adapter(a, Tensor(x[None])).data[0]
         assert np.linalg.norm(out - x) <= 1e-6 * np.linalg.norm(x)
         cos = float(np.dot(out, x))
         assert cos >= 1.0 - 1e-9
@@ -41,13 +41,13 @@ def test_adapter_identity_at_init_all_depths(n_layers):
     rng = np.random.default_rng(2)
     a = Adapter(32, n_layers=n_layers, rng=np.random.default_rng(3))
     x = _unit(rng)
-    out = apply_adapter(a, Tensor(x)).data
+    out = apply_adapter(a, Tensor(x[None])).data[0]
     assert np.linalg.norm(out - x) <= 1e-6
 
 
 def test_adapter_zero_input_zero_prenorm_output():
     a = Adapter(32, n_layers=2, rng=np.random.default_rng(4))
-    out = apply_adapter(a, Tensor(np.zeros(32))).data
+    out = apply_adapter(a, Tensor(np.zeros((1, 32)))).data
     assert np.all(out == 0.0)
 
 
@@ -60,7 +60,7 @@ def test_adapter_matches_matrix_oracle():
     for b in a.bs:
         b.data = rng.normal(0, 0.1, b.data.shape)
     e = rng.normal(size=32)
-    out = apply_adapter(a, Tensor(e)).data
+    out = apply_adapter(a, Tensor(e[None])).data[0]
 
     h = np.maximum(e @ a.ws[0].data + a.bs[0].data, 0.0)
     h = h @ a.ws[1].data + a.bs[1].data
@@ -72,7 +72,7 @@ def test_adapter_matches_matrix_oracle():
 def test_adapter_dimension_error():
     a = Adapter(32, rng=np.random.default_rng(7))
     with pytest.raises(ShapeError, match="dim"):
-        apply_adapter(a, Tensor(np.zeros(16)))
+        apply_adapter(a, Tensor(np.zeros((1, 16))))
 
 
 def test_adapter_invalid_layers():
@@ -85,8 +85,8 @@ def test_adapter_gradcheck():
     a = Adapter(8, n_layers=2, bottleneck=4, rng=np.random.default_rng(9))
     w0 = rng.normal(0, 0.3, (8, 4))
     w1 = rng.normal(0, 0.3, (4, 8))
-    e = rng.normal(size=8)
-    r = rng.normal(size=8)
+    e = rng.normal(size=(1, 8))
+    r = rng.normal(size=(1, 8))
 
     def build(ts):
         a.ws[0], a.ws[1] = ts[0], ts[1]
@@ -131,7 +131,7 @@ def test_gradient_flows_into_text_prompts_through_coupler():
     enc = clone_frozen(DualEncoder(EncoderConfig(layers=2, width=16, heads=2, embed_dim=8,
                                                  text_len=8), tok, seed=1))
     ps = PromptSet(width=16, layers=2, m=2, rng=np.random.default_rng(13))
-    img = np.random.default_rng(14).uniform(0, 1, (32, 32, 3))
+    img = np.random.default_rng(14).uniform(0, 1, (1, 32, 32, 3))
 
     _, vision_sched = ps.schedules()
     emb = enc.encode_image(img, prompts=vision_sched)
