@@ -20,7 +20,6 @@ from .checkpoints import CheckpointError
 from .consistency import (
     Augmenter,
     ConsistencyConfig,
-    DescriptionStore,
     consistency_loss,
     perturb_image,
     perturb_text,

@@ -195,7 +195,8 @@ def read_checkpoint(directory, kind, shapes_of, manifest="manifest.json", subdir
     `shapes_of(manifest)` returns {name: shape} of the tensors the caller
     expects; it is called only once the manifest is verified, so a caller
     may build what it loads into from the manifest there. Refuses
-    (CheckpointError), in this order: a manifest of another `kind`; a
+    (CheckpointError), in this order: a manifest, or its `tensors` value,
+    that is not a JSON object; a manifest of another `kind`; a
     `format_version` other than `FORMAT_VERSION`; a content hash that does
     not match every other manifest key but `HINT` plus the tensor hashes; a
     tensor name missing from, or not in, the expected names; a manifest
@@ -203,6 +204,8 @@ def read_checkpoint(directory, kind, shapes_of, manifest="manifest.json", subdir
     from its manifest entry.
     """
     m = read_json(os.path.join(directory, manifest))
+    if not isinstance(m, dict) or not isinstance(m.get("tensors", {}), dict):
+        raise CheckpointError(f"{manifest} in {directory}, or its tensors, is not a JSON object")
     if m.get("kind") != kind:
         raise CheckpointError(f"{directory} is not a {kind} checkpoint")
     if m.get("format_version") != FORMAT_VERSION:

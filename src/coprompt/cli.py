@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from .autodiff import DomainError, GradError, ShapeError
 from .checkpoints import CheckpointError, Record, read_json, write_json
-from .consistency import DescriptionStore
 from .datasets import (
     Dataset,
     DatasetError,
@@ -314,10 +313,7 @@ def cmd_eval(raw):
         if ds.content_hash != manifest["dataset_hash"]:
             raise CheckpointError("dataset hash does not match the checkpoint")
         split = make_fewshot_split(ds, train_cfg.shots, train_cfg.seed)
-        store = DescriptionStore.from_manifest(ds.manifest, model.tokenizer,
-                                               model.backbone.config.text_len)
-        measured = measure_train_state(model, split, store,
-                                       train_cfg.consistency)["final_train_ce"]
+        measured = measure_train_state(model, split, train_cfg.consistency)["final_train_ce"]
         recorded = _recorded_train_ce(ckpt)
         name, report = "train_ce.json", {"recomputed_ce": measured, "recorded_ce": recorded,
                                          "difference": abs(measured - recorded)}

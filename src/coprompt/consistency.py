@@ -1,8 +1,9 @@
 """Input perturbations and the frozen-vs-tuned consistency loss family.
 
 The teacher is always the frozen pre-trained encoder pair. Text perturbation
-swaps the plain template for a stored descriptive sentence of the class;
-image perturbation draws two independent augmented views of one source
+swaps the plain template for a descriptive sentence of the class; both are
+the manifest's, as `encoders.class_sentences` tokenizes them for pretraining
+too. Image perturbation draws two independent augmented views of one source
 image, one per branch. The loss compares frozen and tuned embeddings under
 a selectable criterion (cosine distance by default, L1 or MSE otherwise)
 over a selectable set of modalities.
@@ -17,7 +18,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .checkpoints import Record
-from .encoders import template_tokens
 
 CRITERIA = ("cosine", "l1", "mse")
 MODALITIES = ("text_only", "image_only", "both")
@@ -43,54 +43,11 @@ class ConsistencyConfig(Record):
                 f"perturb_image must be one of {IMAGE_MODES}, got {self.perturb_image!r}")
 
 
-class DescriptionStore:
-    """Per-class descriptive sentences, pre-tokenized and length-checked.
-
-    Descriptions come from the dataset manifest (deterministic template
-    expansion standing in for an external language model); sampling one per
-    step keeps the single-sentence-on-the-fly behavior.
-    """
-
-    def __init__(self, descriptions, tokenizer, text_len):
-        self.tokenizer = tokenizer
-        self._tokens = {}
-        self._templates = {}
-        for name, sentences in descriptions.items():
-            if not sentences:
-                raise ValueError(f"class {name!r} has no descriptions")
-            toks = [tokenizer.encode(s) for s in sentences]
-            for s, t in zip(sentences, toks):
-                if len(t) > text_len:
-                    raise ValueError(
-                        f"description for {name!r} has {len(t)} tokens > text_len {text_len}: {s!r}")
-            self._tokens[name] = toks
-            self._templates[name] = template_tokens(tokenizer, name)
-
-    @staticmethod
-    def from_manifest(manifest, tokenizer, text_len):
-        return DescriptionStore({c.name: c.descriptions for c in manifest.classes},
-                                tokenizer, text_len)
-
-    def template_tokens(self, class_name):
-        if class_name not in self._templates:
-            raise KeyError(f"unknown class {class_name!r}")
-        return self._templates[class_name]
-
-    def description_tokens(self, class_name):
-        if class_name not in self._tokens:
-            raise KeyError(f"unknown class {class_name!r}")
-        return self._tokens[class_name]
-
-    def sample_tokens(self, class_name, rng):
-        choices = self.description_tokens(class_name)
-        return choices[int(rng.integers(len(choices)))]
-
-
-def perturb_text(store: DescriptionStore, class_name, rng, descriptive=True):
-    """One sampled description's tokens, or the plain template when disabled."""
+def perturb_text(sentences, rng, descriptive=True):
+    """A uniformly drawn description of `class_sentences`, or the template when disabled."""
     if not descriptive:
-        return store.template_tokens(class_name)
-    return store.sample_tokens(class_name, rng)
+        return sentences[0]
+    return sentences[1 + int(rng.integers(len(sentences) - 1))]
 
 
 # ---------------------------------------------------------------------------

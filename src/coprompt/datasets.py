@@ -8,12 +8,12 @@ phase, brightness, and noise jitter so pixel-space centroids are an
 intentionally mediocre classifier.
 
 A dataset is a read-only mapping of its own `images.bin`: one packed
-record array whose (N, H, W, C) float32 `pixels` and parallel `class_ids` /
-`sample_seeds` are views, and every consumer (few-shot split, pretrain
-split, pools) gathers rows by index, so only the pages it reads come into
-memory. Writing, hashing and shifting go one class block at a time; a
-dataset is written to a temporary file that replaces `images.bin` whole,
-so a live dataset never sees its file change.
+record array whose (N, H, W, C) float32 `pixels` and parallel `class_ids`
+are views, and every consumer (few-shot split, pretrain split, pools)
+gathers rows by index, so only the pages it reads come into memory.
+Writing, hashing and shifting go one class block at a time; a dataset is
+written to a temporary file that replaces `images.bin` whole, so a live
+dataset never sees its file change.
 """
 
 from __future__ import annotations
@@ -209,11 +209,11 @@ class Dataset:
     """A generated dataset directory, mapped read-only.
 
     `rows` is the packed record array of `images.bin`, mapped from the file;
-    `pixels` (N, H, W, C) float32, `class_ids` and `sample_seeds` are views
-    of it. Rows are ordered class-major, and within each class: train block,
-    then val, then test. Pool accessors slice that fixed layout. A dataset
-    holds its file open while it lives, so a directory regenerated under it
-    (a new file put in place) changes neither its pixels nor its hash.
+    `pixels` (N, H, W, C) float32 and `class_ids` are views of it. Rows are
+    ordered class-major, and within each class: train block, then val, then
+    test. Pool accessors slice that fixed layout. A dataset holds its file
+    open while it lives, so a directory regenerated under it (a new file put
+    in place) changes neither its pixels nor its hash.
     """
 
     def __init__(self, manifest: DatasetManifest, directory):
@@ -225,7 +225,6 @@ class Dataset:
         self.rows = _map_rows(self._fd, path, manifest)
         self.pixels = self.rows["pixels"]
         self.class_ids = self.rows["class_id"]
-        self.sample_seeds = self.rows["sample_seed"]
 
     @staticmethod
     def load(directory):

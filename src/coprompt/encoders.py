@@ -95,6 +95,18 @@ def template_tokens(tokenizer, name):
     return tokenizer.encode(TEMPLATE_PROMPT.format(name=name))
 
 
+def class_sentences(tokenizer, cls, text_len):
+    """Token-id tuples of the class's template, then of each description;
+    refuses (ValueError) a sentence longer than `text_len`."""
+    sentences = [tuple(template_tokens(tokenizer, cls.name))]
+    sentences += [tuple(tokenizer.encode(d)) for d in cls.descriptions]
+    longest = max(len(t) for t in sentences)
+    if longest > text_len:
+        raise ValueError(f"a sentence of class {cls.name!r} has {longest} tokens, "
+                         f"more than text_len {text_len}")
+    return sentences
+
+
 @dataclass(frozen=True)
 class EncoderConfig(Record):
     what = "encoder config"
@@ -369,26 +381,17 @@ class PretrainSplit:
 
 
 def build_pretrain_split(datasets, tokenizer, text_len):
-    """Image/caption pairs over full class sets, mirroring broad pretraining.
-
-    Captions and class templates are token id tuples, ready for a batched
-    `encode_text` call; a caption longer than `text_len` is refused
-    (ValueError). Held-out images come from the "val" pool.
-    """
+    """Image/caption pairs over full class sets, mirroring broad pretraining;
+    a class's captions are its `class_sentences`, ready for a batched
+    `encode_text` call, and held-out images come from the "val" pool."""
     images, classes, captions = {"train": [], "val": []}, {"train": [], "val": []}, []
     for ds in datasets:
         for cls in ds.manifest.classes:
-            sentences = [tuple(template_tokens(tokenizer, cls.name))]
-            sentences += [tuple(tokenizer.encode(d)) for d in cls.descriptions]
-            longest = max(len(t) for t in sentences)
-            if longest > text_len:
-                raise ValueError(f"a caption of class {cls.name!r} has {longest} tokens, "
-                                 f"more than text_len {text_len}")
             for pool in images:
                 rows = ds.pool_indices(cls.id, pool)
                 images[pool] += [ds.pixels[i] for i in rows]
                 classes[pool] += [len(captions)] * len(rows)
-            captions.append(sentences)
+            captions.append(class_sentences(tokenizer, cls, text_len))
     return PretrainSplit(images["train"], np.asarray(classes["train"]),
                          images["val"], np.asarray(classes["val"]), captions)
 

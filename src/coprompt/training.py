@@ -42,13 +42,18 @@ from .checkpoints import (
 from .consistency import (
     Augmenter,
     ConsistencyConfig,
-    DescriptionStore,
     consistency_loss,
     perturb_image,
     perturb_text,
 )
 from .datasets import FewShotSplit
-from .encoders import DualEncoder, backbone_identity, load_backbone
+from .encoders import (
+    DualEncoder,
+    backbone_identity,
+    class_sentences,
+    load_backbone,
+    template_tokens,
+)
 from .tuning import PromptSet, apply_adapter, make_adapters, trainable_parameters
 
 
@@ -191,8 +196,9 @@ class Trainer:
         self.backbone = backbone
         self.cfg = cfg
         self.data = data
-        self.store = DescriptionStore.from_manifest(
-            data.dataset.manifest, backbone.tokenizer, backbone.config.text_len)
+        # novel classes too: finetune refuses a class name outside the vocabulary
+        self.sentences = {c.name: class_sentences(backbone.tokenizer, c, backbone.config.text_len)
+                          for c in data.dataset.manifest.classes}
 
         _, self.batch_rng, self.perturb_rng = _seed_streams(cfg.seed)
         self.model = tuned_model(backbone, cfg)
@@ -202,7 +208,7 @@ class Trainer:
         self.augmenter = Augmenter(cfg.consistency.perturb_image)
 
         names = data.base_class_names
-        self.class_tokens = [tuple(self.store.template_tokens(n)) for n in names]
+        self.class_tokens = [self.sentences[n][0] for n in names]
         prompts = self.model.prompt_set.text_schedule()
         m = prompts[0].shape[0] if prompts else 0
         longest = max(len(t) for t in self.class_tokens)
@@ -212,7 +218,7 @@ class Trainer:
         # frozen teacher row of every sentence the text branch is fed: the
         # plain templates and every base-class description
         sentences = list(dict.fromkeys(self.class_tokens + [
-            tuple(t) for n in names for t in self.store.description_tokens(n)]))
+            t for n in names for t in self.sentences[n][1:]]))
         with ad.no_grad():
             rows = backbone.encode_text(sentences).data
         self.frozen_text = dict(zip(sentences, rows))
@@ -262,10 +268,8 @@ class Trainer:
         cc = None
         if cons.enabled:
             frozen_text = np.stack([
-                self.frozen_text[tuple(perturb_text(self.store,
-                                                    self.data.base_class_names[label],
-                                                    self.perturb_rng,
-                                                    descriptive=cons.perturb_text))]
+                self.frozen_text[perturb_text(self.sentences[self.data.base_class_names[label]],
+                                              self.perturb_rng, descriptive=cons.perturb_text)]
                 for label in labels])
             with ad.no_grad():
                 frozen_img = self.backbone.encode_image(views_frozen).data
@@ -308,7 +312,7 @@ class Trainer:
 
     def final_metrics(self):
         """Deterministic post-training measurements on unperturbed inputs."""
-        m = measure_train_state(self.model, self.data, self.store, self.cfg.consistency)
+        m = measure_train_state(self.model, self.data, self.cfg.consistency)
         m["tau"] = self.backbone.tau
         return m
 
@@ -354,11 +358,10 @@ class Trainer:
 # shared post-training measurement helper (also backs `eval --protocol train_ce`)
 
 
-def measure_train_state(model: TunedModel, data: FewShotSplit,
-                        store: DescriptionStore, cons: ConsistencyConfig):
+def measure_train_state(model: TunedModel, data: FewShotSplit, cons: ConsistencyConfig):
     """Mean CE, consistency value, and per-branch embedding deviation over
     the whole few-shot split on unperturbed inputs."""
-    templates = [tuple(store.template_tokens(n)) for n in data.base_class_names]
+    templates = [tuple(template_tokens(model.tokenizer, n)) for n in data.base_class_names]
     images, labels = data.dataset.pixels[data.indices], data.labels
     with ad.no_grad():
         class_embs = model.class_matrix(templates).data

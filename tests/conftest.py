@@ -5,12 +5,11 @@ acceptance criteria."""
 import json
 import time
 
-import numpy as np
 import pytest
 
 from coprompt.cli import main as cli_main
 from coprompt.checkpoints import read_json
-from coprompt.datasets import SOURCE_FAMILY, Dataset, build_default_suite, make_fewshot_split
+from coprompt.datasets import SOURCE_FAMILY, build_default_suite, make_fewshot_split
 from coprompt.encoders import load_backbone
 from coprompt.evaluation import base_to_novel_eval
 from coprompt.training import TrainConfig, finetune

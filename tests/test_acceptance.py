@@ -15,8 +15,7 @@ import coprompt.autodiff as ad
 from coprompt.autodiff import Tensor
 from coprompt.consistency import Augmenter, ConsistencyConfig, consistency_loss, perturb_image
 from coprompt.datasets import make_fewshot_split
-from coprompt.encoders import DualEncoder, EncoderConfig, Tokenizer
-from coprompt.evaluation import base_to_novel_eval, cross_dataset_eval, domain_gen_eval, harmonic_mean, predict
+from coprompt.evaluation import cross_dataset_eval, domain_gen_eval, harmonic_mean, predict
 from coprompt.training import TrainConfig, Trainer, finetune, supervised_loss, total_loss
 from coprompt.tuning import PromptSet, apply_adapter, make_adapters, trainable_parameters
 

@@ -415,6 +415,18 @@ def _transpose_manifest_shape(ft, bb, ds):
     _edit_json(ft / "config.json", edit)
 
 
+def _backbone_manifest_not_an_object(ft, bb, ds):
+    (bb / "manifest.json").write_text("[]")
+
+
+def _finetune_config_not_an_object(ft, bb, ds):
+    (ft / "config.json").write_text("[]")
+
+
+def _finetune_tensors_not_an_object(ft, bb, ds):
+    _edit_json(ft / "config.json", lambda m: m.update({"tensors": []}))
+
+
 def _truncate_images(ft, bb, ds):
     path = ds / "images.bin"
     path.write_bytes(path.read_bytes()[:6])
@@ -435,12 +447,16 @@ def _grow_dataset_split(ft, bb, ds):
     (_edit_finetune_hint, "not found"),
     (_add_backbone_manifest_key, "hash"),
     (_transpose_manifest_shape, "shape mismatch"),
+    (_backbone_manifest_not_an_object, "not a JSON object"),
+    (_finetune_config_not_an_object, "not a JSON object"),
+    (_finetune_tensors_not_an_object, "not a JSON object"),
     (_truncate_images, "truncated"),
     (_append_to_images, "bytes"),
     (_grow_dataset_split, "records"),
 ], ids=["tensor_byte_flip", "finetune_config_edit", "finetune_hint_edit",
         "backbone_manifest_edit",
-        "tensor_shape_edit", "images_truncated", "images_trailing_bytes",
+        "tensor_shape_edit", "backbone_manifest_not_object", "finetune_config_not_object",
+        "finetune_tensors_not_object", "images_truncated", "images_trailing_bytes",
         "dataset_split_edit"])
 def test_corrupted_checkpoint_refuses_to_run(rig, tmp_path, capsys, corrupt, message):
     root, suite_dir, bb_dir = rig

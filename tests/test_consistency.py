@@ -8,24 +8,24 @@ from coprompt.autodiff import ShapeError, Tensor
 from coprompt.consistency import (
     Augmenter,
     ConsistencyConfig,
-    DescriptionStore,
     consistency_loss,
     perturb_image,
     perturb_text,
 )
-from coprompt.encoders import Tokenizer
+from coprompt.datasets import ClassSpec
+from coprompt.encoders import Tokenizer, class_sentences
 
 from helpers import assert_grads_match
 
 
+TIGER_TOKENIZER = Tokenizer(["photo", "tiger", "bold", "striped", "cat", "big"])
+
+
 @pytest.fixture(scope="module")
-def store():
-    tok = Tokenizer(["photo", "tiger", "lion", "bold", "striped", "cat",
-                     "big", "golden", "mane"])
-    return DescriptionStore(
-        {"tiger": ["a bold striped cat", "a big striped cat"],
-         "lion": ["a golden cat", "a cat with a golden mane"]},
-        tok, text_len=16)
+def tiger():
+    """The tiger's template and two descriptions, as `class_sentences` gives them."""
+    cls = ClassSpec(0, "tiger", {}, ["a bold striped cat", "a big striped cat"])
+    return class_sentences(TIGER_TOKENIZER, cls, text_len=16)
 
 
 def _unit(rng, n=8):
@@ -52,33 +52,28 @@ def test_config_defaults_and_validation():
 # -- text perturbation ------------------------------------------------------------
 
 
-def test_perturb_text_template_path(store):
-    toks = perturb_text(store, "tiger", np.random.default_rng(0), descriptive=False)
-    assert toks == store.tokenizer.encode("a photo of a tiger")
+def test_perturb_text_template_path(tiger):
+    toks = perturb_text(tiger, np.random.default_rng(0), descriptive=False)
+    assert toks == tuple(TIGER_TOKENIZER.encode("a photo of a tiger"))
 
 
 def test_perturb_text_single_description_deterministic():
     tok = Tokenizer(["photo", "dog", "good"])
-    single = DescriptionStore({"dog": ["a good dog"]}, tok, text_len=16)
+    single = class_sentences(tok, ClassSpec(0, "dog", {}, ["a good dog"]), text_len=16)
     rng = np.random.default_rng(1)
-    draws = {tuple(single.sample_tokens("dog", rng)) for _ in range(10)}
-    assert len(draws) == 1
+    draws = {perturb_text(single, rng) for _ in range(10)}
+    assert draws == {tuple(tok.encode("a good dog"))}
 
 
-def test_perturb_text_unknown_class(store):
-    with pytest.raises(KeyError, match="zebra"):
-        perturb_text(store, "zebra", np.random.default_rng(0))
-
-
-def test_perturb_text_uniform_sampling(store):
+def test_perturb_text_uniform_sampling(tiger):
     # frequency over 10^4 draws within binomial 3 sigma of uniform
     rng = np.random.default_rng(2)
     n = 10_000
     counts = {}
     for _ in range(n):
-        toks = tuple(perturb_text(store, "tiger", rng))
+        toks = perturb_text(tiger, rng)
         counts[toks] = counts.get(toks, 0) + 1
-    assert len(counts) == 2
+    assert set(counts) == set(tiger[1:])
     p = 0.5
     bound = 3 * np.sqrt(n * p * (1 - p))
     for c in counts.values():
@@ -86,9 +81,9 @@ def test_perturb_text_uniform_sampling(store):
 
 
 def test_description_length_validation():
-    tok = Tokenizer(["very", "long", "words"])
-    with pytest.raises(ValueError, match="text_len"):
-        DescriptionStore({"x": ["very " * 20 + "long"]}, tok, text_len=8)
+    tok = Tokenizer(["x", "very", "long", "words"])
+    with pytest.raises(ValueError, match="'x'.*text_len 8"):
+        class_sentences(tok, ClassSpec(0, "x", {}, ["very " * 20 + "long"]), text_len=8)
 
 
 # -- image perturbation ------------------------------------------------------------

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from coprompt.autodiff import Tensor
-from coprompt.datasets import (
-    DatasetError,
-    build_default_suite,
-    build_family_manifest,
-    generate_dataset,
-)
+from coprompt.datasets import DatasetError, build_default_suite
 from coprompt.encoders import DualEncoder, EncoderConfig, Tokenizer, VocabularyError
 from coprompt.evaluation import (
     base_to_novel_eval,

@@ -11,7 +11,7 @@ from coprompt.autodiff import Tensor, backward
 from coprompt.checkpoints import CheckpointError
 from coprompt.consistency import ConsistencyConfig
 from coprompt.datasets import build_family_manifest, generate_dataset, make_fewshot_split
-from coprompt.encoders import DualEncoder, EncoderConfig, Tokenizer
+from coprompt.encoders import DualEncoder, EncoderConfig, Tokenizer, build_pretrain_split
 from coprompt.training import (
     NonFiniteLossError,
     TrainConfig,
@@ -286,6 +286,20 @@ def test_nonfinite_loss_aborts_with_step(mini):
     trainer2.adapters["text"].ws[0].data[:] = np.nan
     with pytest.raises(NonFiniteLossError):
         trainer2.run(max_steps=1)
+
+
+def test_pretrain_captions_are_the_trainer_sentences(suite):
+    """Pretraining and the fine-tune teacher turn a class into the same
+    sentences, for every class of the family, novel ones included."""
+    ds = suite["fields_a"]
+    tok = Tokenizer.from_manifests([ds.manifest])
+    backbone = clone_frozen(DualEncoder(EncoderConfig(layers=1, width=16, heads=2,
+                                                      embed_dim=8), tok, seed=0))
+    trainer = Trainer(backbone, _cfg(), make_fewshot_split(ds, shots=4, seed=0))
+    split = build_pretrain_split([ds], tok, backbone.config.text_len)
+    assert len(split.captions) == len(ds.manifest.classes) == len(trainer.sentences)
+    for cls, captions in zip(ds.manifest.classes, split.captions):
+        assert trainer.sentences[cls.name] == captions
 
 
 def test_empty_split_rejected(mini):
