@@ -100,7 +100,10 @@ def read_json(path):
     if not os.path.exists(path):
         raise CheckpointError(f"missing file: {path}")
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise CheckpointError(f"{path}: {e}") from None
 
 
 class Record:

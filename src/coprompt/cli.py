@@ -271,7 +271,7 @@ def _recorded_train_ce(ckpt):
     path = os.path.join(ckpt, "metrics.json")
     try:
         value = read_json(path)["final_train_ce"]
-    except (ValueError, TypeError, KeyError):  # not JSON, not an object, no key
+    except (CheckpointError, TypeError, KeyError):  # not JSON, not an object, no key
         value = None
     if type(value) not in (int, float):
         raise CheckpointError(f"{path}: no number at key 'final_train_ce'")

@@ -3,8 +3,10 @@
 Both branches are small pre-LN transformers sharing a joint embedding space:
 the text branch pools at the end-of-sequence position, the image branch
 mean-pools its patch positions, and both project to the joint dimension and
-L2-normalize. Prompt vectors, when supplied, are prepended at layer 0 and
-re-injected (first ``m`` positions replaced) at every deeper prompted layer.
+L2-normalize. Each prompted layer prepends its prompt vectors to its input.
+Past attention, a block computes only the rows its output feeds (the last
+block: the EOS row or the patch rows); a weight product's rows do not depend
+on how many rows ride along, so those rows are bitwise a full pass's.
 
 The pre-trainer plays the role of the large-scale pretraining this kind of
 model normally assumes: a symmetric in-batch contrastive loss over
@@ -36,6 +38,11 @@ WARMUP_STEPS = 30
 TAU_LR_SCALE = 0.05
 CLIP_NORM = 1.0
 IMAGE_TILE = 32  # most images per graph-free pass: smaller peak temporaries
+
+
+def _rows(x, rows):
+    """`rows` of the (B, S, ...) batch `x` along axis 1; every row for None."""
+    return x if rows is None else ad.slice_(x, (slice(None), rows))
 
 
 class VocabularyError(ValueError):
@@ -236,8 +243,8 @@ class DualEncoder:
 
     # -- forward -------------------------------------------------------------
 
-    def _attention(self, p, h):
-        """Multi-head self-attention of a (B, S, width) batch, output-projected."""
+    def _attention(self, p, h, rows):
+        """Self-attention of a (B, S, width) batch, output-projected on `rows`."""
         w = self.weights
         cfg = self.config
         b, s = h.shape[0], h.shape[1]
@@ -252,34 +259,40 @@ class DualEncoder:
         k = heads_of("k", (0, 2, 3, 1))
         v = heads_of("v", (0, 2, 1, 3))
         att = ad.softmax(ad.matmul(q, k) * (1.0 / np.sqrt(hd)), axis=-1)
-        o = ad.reshape(ad.transpose(ad.matmul(att, v), (0, 2, 1, 3)), (b, s, cfg.width))
+        o = _rows(ad.transpose(ad.matmul(att, v), (0, 2, 1, 3)), rows)
+        o = ad.reshape(o, o.shape[:-2] + (cfg.width,))
         return ad.matmul(o, w[p + "attn.wo"], bias=w[p + "attn.bo"])
 
-    def _block(self, branch, j, x):
+    def _block(self, branch, j, x, rows=None):
         w = self.weights
         p = f"{branch}.h{j}."
-        x = x + self._attention(p, ad.layernorm(x, w[p + "ln1.g"], w[p + "ln1.b"]))
+        a = self._attention(p, ad.layernorm(x, w[p + "ln1.g"], w[p + "ln1.b"]), rows)
+        x = _rows(x, rows) + a
         h = ad.layernorm(x, w[p + "ln2.g"], w[p + "ln2.b"])
         h = ad.gelu(ad.matmul(h, w[p + "mlp.w1"], bias=w[p + "mlp.b1"]))
         return x + ad.matmul(h, w[p + "mlp.w2"], bias=w[p + "mlp.b2"])
 
-    def _run_layers(self, branch, x, prompts):
-        """Run the (B, S, width) batch through every block; returns (x, m).
+    def _run_layers(self, branch, x, prompts, out_rows):
+        """Run the (B, S, width) batch through every block; returns the last
+        block's `out_rows`, indexed from the end (prompts precede the S rows).
 
-        Each (m, width) prompt is broadcast over the batch once, prepended
-        at layer 0 and swapped in for the first m positions at deeper
-        prompted layers.
+        Layer j's (m, width) prompt is broadcast over the batch and prepended.
+        Past attention, a block computes only the rows someone reads: a
+        prompted layer whose successor brings its own prompt drops its prompt
+        rows, and the last block keeps `out_rows`. A dropped row is still a
+        key, a value and a query; after attention, rows meet only row-wise
+        ops and weight products, whose rows do not depend on how many rows
+        ride along. So a kept row is bitwise a full pass's, unless it is
+        alone: a (1, width) product may take another kernel.
         """
-        m = prompts[0].shape[0] if prompts else 0
-        if m > 0:
-            prompts = [ad.broadcast_to(u, (x.shape[0],) + u.shape) for u in prompts]
-            x = ad.concat([prompts[0], x], axis=1)
-        for j in range(self.config.layers):
-            if m > 0 and 0 < j < len(prompts):
-                x = ad.concat([prompts[j], ad.slice_(x, (slice(None), slice(m, None)))],
-                              axis=1)
-            x = self._block(branch, j, x)
-        return x, m
+        prompts = [ad.broadcast_to(u, (x.shape[0],) + u.shape) for u in prompts or ()]
+        tokens, layers = slice(-x.shape[1], None), self.config.layers
+        for j in range(layers):
+            if j < len(prompts):
+                x = ad.concat([prompts[j], x], axis=1)
+            rows = out_rows if j == layers - 1 else tokens if j + 1 < len(prompts) else None
+            x = self._block(branch, j, x, rows)
+        return x
 
     def _project(self, branch, pooled):
         """(B, width) pooled features -> (B, embed_dim) unit-norm embeddings."""
@@ -295,8 +308,9 @@ class DualEncoder:
         callers can key results by sentence. Sequences may differ in length:
         each length runs as its own dense group, so no row sees padding, and a
         row agrees with a batch of one up to rounding. `prompts` is a list of
-        per-layer (m, width) tensors; layer 0 is prepended, deeper prompted
-        layers have their first m rows replaced.
+        per-layer (m, width) tensors (`_run_layers`). The last block computes
+        only each sequence's EOS row, so a group of one takes a vector-matrix
+        kernel there.
         """
         cfg = self.config
         seqs = list(tokens)
@@ -319,8 +333,7 @@ class DualEncoder:
         for n, rows in groups.items():
             ids = np.asarray([seqs[i] for i in rows], dtype=np.int64)
             x = ad.embedding_lookup(w["text.tok_emb"], ids) + ad.slice_(w["text.pos_emb"], slice(0, n))
-            x, _ = self._run_layers("text", x, prompts)
-            pooled.append(ad.slice_(x, (slice(None), m + n - 1)))  # EOS position
+            pooled.append(self._run_layers("text", x, prompts, -1))  # the EOS row
             order.extend(rows)
         # one concat and one gather put the length groups back in input order
         x = ad.slice_(ad.concat(pooled, axis=0), np.argsort(order))
@@ -351,8 +364,7 @@ class DualEncoder:
         w = self.weights
         patches = Tensor(patchify(imgs, cfg.patch_grid))
         x = ad.matmul(patches, w["img.patch.w"], bias=w["img.patch.b"]) + w["img.pos_emb"]
-        x, m = self._run_layers("img", x, prompts)
-        x = ad.slice_(x, (slice(None), slice(m, m + cfg.num_patches)))
+        x = self._run_layers("img", x, prompts, slice(-cfg.num_patches, None))
         x = ad.layernorm(x, w["img.lnf.g"], w["img.lnf.b"])
         return self._project("img", ad.mean(x, axis=1))
 

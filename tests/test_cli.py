@@ -427,6 +427,11 @@ def _finetune_tensors_not_an_object(ft, bb, ds):
     _edit_json(ft / "config.json", lambda m: m.update({"tensors": []}))
 
 
+def _truncate_finetune_config(ft, bb, ds):
+    path = ft / "config.json"
+    path.write_bytes(path.read_bytes()[:40])
+
+
 def _truncate_images(ft, bb, ds):
     path = ds / "images.bin"
     path.write_bytes(path.read_bytes()[:6])
@@ -450,13 +455,14 @@ def _grow_dataset_split(ft, bb, ds):
     (_backbone_manifest_not_an_object, "not a JSON object"),
     (_finetune_config_not_an_object, "not a JSON object"),
     (_finetune_tensors_not_an_object, "not a JSON object"),
+    (_truncate_finetune_config, "config.json"),
     (_truncate_images, "truncated"),
     (_append_to_images, "bytes"),
     (_grow_dataset_split, "records"),
 ], ids=["tensor_byte_flip", "finetune_config_edit", "finetune_hint_edit",
         "backbone_manifest_edit",
         "tensor_shape_edit", "backbone_manifest_not_object", "finetune_config_not_object",
-        "finetune_tensors_not_object", "images_truncated", "images_trailing_bytes",
+        "finetune_tensors_not_object", "finetune_config_truncated", "images_truncated", "images_trailing_bytes",
         "dataset_split_edit"])
 def test_corrupted_checkpoint_refuses_to_run(rig, tmp_path, capsys, corrupt, message):
     root, suite_dir, bb_dir = rig

@@ -17,8 +17,11 @@ from coprompt.training import TrainConfig, Trainer
 BLOCK_NODES = 23
 COMPOSED_BLOCK_NODES = 32
 # nodes one default fine-tune step records on the default suite's source
-# (348 with separate bias and gain/shift nodes)
-TRAIN_STEP_NODES = 254
+# (348 with separate bias and gain/shift nodes); the row selections of
+# `encoders._rows` are 8 of them
+TRAIN_STEP_NODES = 262
+# rows the GELUs of that step take (832 when every block runs every row)
+TRAIN_STEP_GELU_ROWS = 688
 
 
 @pytest.fixture(scope="module")
@@ -119,12 +122,16 @@ def test_block_graph_keeps_only_what_backward_reads(tok, frozen, most):
     assert retained <= most * x.data.nbytes
 
 
-def test_train_step_node_count(source):
+def test_train_step_node_count(source, monkeypatch):
     """A deterministic stand-in for step time: an edit that un-fuses a node
-    fails here instead of silently slowing fine-tuning."""
+    fails here instead of silently slowing fine-tuning. The GELU rows pin
+    the work: a block that runs rows nobody reads records fewer nodes, but
+    it fails here too."""
     tok = Tokenizer.from_manifests([source.manifest])
     backbone = DualEncoder(EncoderConfig(), tok, seed=0, frozen=True)
     cfg = TrainConfig()
     trainer = Trainer(backbone, cfg, make_fewshot_split(source, cfg.shots, cfg.seed))
+    gelu, rows = ad.gelu, []
+    monkeypatch.setattr(ad, "gelu", lambda a: rows.append(a.data.size // a.shape[-1]) or gelu(a))
     _, nodes = _counted(trainer.train_step)
-    assert nodes == TRAIN_STEP_NODES
+    assert (nodes, sum(rows)) == (TRAIN_STEP_NODES, TRAIN_STEP_GELU_ROWS)
