@@ -142,6 +142,15 @@ class GenDataConfig(Record):
     noise: float = 0.03
     export_ppm: int = 0
 
+    def __post_init__(self):
+        for key in ("source_counts", "target_counts"):
+            counts = getattr(self, key)
+            if len(counts) != 3 or min(counts) < 0 or sum(counts) < 1:
+                raise ConfigError(f"{self.what}: {key!r} must be 3 counts (train, val, test), "
+                                  f"each >= 0 and not all 0, got {counts}")
+        if self.noise < 0:
+            raise ConfigError(f"{self.what}: 'noise' must be >= 0, got {self.noise}")
+
 
 def cmd_gen_data(cfg):
     cfg = GenDataConfig.from_dict(cfg)

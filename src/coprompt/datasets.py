@@ -1,16 +1,17 @@
 """Procedural synthetic image datasets: generation, on-disk format, splits.
 
 Each dataset is a manifest (classes, attributes, descriptions, split spec,
-generator params) plus a single `images.bin` record file, both reproducible
+generator params) plus a single `images.bin` pixel file, both reproducible
 bit-exactly from the manifest seed. Classes are procedural pattern fields
 (stripes / checks / blobs / rings in a two-color palette) with per-sample
 phase, brightness, and noise jitter so pixel-space centroids are an
 intentionally mediocre classifier.
 
-A dataset is a read-only mapping of its own `images.bin`: one packed
-record array whose (N, H, W, C) float32 `pixels` and parallel `class_ids`
-are views, and every consumer (few-shot split, pretrain split, pools)
-gathers rows by index, so only the pages it reads come into memory.
+A dataset is a read-only mapping of its own `images.bin`: a header, then
+every image as one class-major (N, H, W, C) float32 `pixels` array. An
+image's class is fixed by its row (the manifest's split sizes each class
+block), and every consumer (few-shot split, pretrain split, pools) gathers
+rows by index, so only the pages it reads come into memory.
 Writing, hashing and shifting go one class block at a time; a dataset is
 written to a temporary file that replaces `images.bin` whole, so a live
 dataset never sees its file change.
@@ -26,11 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoints import Record, canonical_json, read_json, write_json
+from .checkpoints import CheckpointError, Record, canonical_json, read_json, write_json
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # the manifest's
+IMAGES_VERSION = 2  # `images.bin`'s: the header, then only the pixels
 MAGIC = b"CPDS"
-_HEADER = 12  # magic, then version and record count as u32
+_HEADER = 12  # magic, then version and image count as u32
 
 PALETTES = {
     "crimson": ((0.82, 0.12, 0.18), (0.25, 0.02, 0.06)),
@@ -84,6 +86,13 @@ class SplitSpec(Record):
     val: int
     test: int
 
+    def __post_init__(self):
+        for key in ("train", "val", "test"):
+            if getattr(self, key) < 0:
+                raise DatasetError(f"{self.what}: {key!r} must be >= 0, got {getattr(self, key)}")
+        if self.per_class < 1:
+            raise DatasetError(f"{self.what}: 'train', 'val' and 'test' hold no image per class")
+
     @property
     def per_class(self):
         return self.train + self.val + self.test
@@ -103,12 +112,22 @@ class DatasetManifest(Record):
     format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
+        """Every block and pool index assumes a class's id is its position,
+        and that the split names only those ids."""
         base, novel = set(self.split.base), set(self.split.novel)
         if base & novel:
             raise DatasetError(f"base/novel class sets overlap: {sorted(base & novel)}")
-        for c in self.classes:
+        outside = sorted((base | novel) - set(range(len(self.classes))))
+        if outside:
+            raise DatasetError(f"{self.what}: split class ids {outside} are not among the "
+                               f"{len(self.classes)} classes")
+        for pos, c in enumerate(self.classes):
+            if c.id != pos:
+                raise DatasetError(f"{self.what}: class {c.name!r} at position {pos} has id {c.id}")
             if not c.descriptions:
                 raise DatasetError(f"class {c.name!r} has no descriptions")
+        if self.noise < 0:
+            raise DatasetError(f"{self.what}: 'noise' must be >= 0, got {self.noise}")
 
     @property
     def class_names(self):
@@ -172,89 +191,88 @@ def _sample_seed(manifest_seed, class_id, index):
 # on-disk format
 
 
-def _row_dtype(manifest):
-    """One packed `images.bin` record: class id u32, sample seed u64, pixels f32."""
-    size, channels = manifest.image_size, manifest.channels
-    return np.dtype([("class_id", "<u4"), ("sample_seed", "<u8"),
-                     ("pixels", "<f4", (size, size, channels))])
+def _image_shape(manifest):
+    return (manifest.image_size, manifest.image_size, manifest.channels)
 
 
 def _map_rows(fd, path, manifest):
-    """Map every record of the open `images.bin` read-only. A file whose
-    header count is not the manifest's classes times its split, or whose
-    length is not exactly the header plus `count` records (short or with
-    trailing bytes), is refused."""
-    dtype = _row_dtype(manifest)
+    """Map every image of the open `images.bin` read-only, as (N, H, W, C)
+    float32. A file whose header count is not the manifest's classes times
+    its split, or whose length is not exactly the header plus `count`
+    images (short or with trailing bytes), is refused."""
+    shape = _image_shape(manifest)
+    image_bytes = 4 * int(np.prod(shape))
     header = os.pread(fd, _HEADER, 0)
     if header[:4] != MAGIC:
         raise DatasetError(f"bad magic in {path}")
     if len(header) < _HEADER:
         raise DatasetError(f"truncated header in {path}")
     version, count = (int(v) for v in np.frombuffer(header, "<u4", 2, offset=4))
-    if version != FORMAT_VERSION:
-        raise DatasetError(f"unsupported dataset format version {version}")
+    if version != IMAGES_VERSION:
+        raise DatasetError(f"{path} is dataset format version {version}, not "
+                           f"{IMAGES_VERSION}; re-run gen-data to rewrite it")
     expected = len(manifest.classes) * manifest.split.per_class
     if count != expected:
         raise DatasetError(f"{path} holds {count} records, but the manifest's classes "
                            f"and split make {expected}")
     size = os.fstat(fd).st_size
-    if size != _HEADER + count * dtype.itemsize:
-        raise DatasetError(f"{path} is {size} bytes, but {count} records "
-                           f"take {_HEADER + count * dtype.itemsize}")
-    return np.frombuffer(mmap.mmap(fd, size, access=mmap.ACCESS_READ), dtype, count,
-                         offset=_HEADER)
+    if size != _HEADER + count * image_bytes:
+        raise DatasetError(f"{path} is {size} bytes, but {count} images "
+                           f"take {_HEADER + count * image_bytes}")
+    return np.frombuffer(mmap.mmap(fd, size, access=mmap.ACCESS_READ), "<f4",
+                         offset=_HEADER).reshape(count, *shape)
 
 
 class Dataset:
     """A generated dataset directory, mapped read-only.
 
-    `rows` is the packed record array of `images.bin`, mapped from the file;
-    `pixels` (N, H, W, C) float32 and `class_ids` are views of it. Rows are
-    ordered class-major, and within each class: train block, then val, then
-    test. Pool accessors slice that fixed layout. A dataset holds its file
-    open while it lives, so a directory regenerated under it (a new file put
-    in place) changes neither its pixels nor its hash.
+    `pixels` is the (N, H, W, C) float32 image array of `images.bin`,
+    mapped from the file. Rows are ordered class-major, and within each
+    class: train block, then val, then test. Pool accessors slice that fixed
+    layout. A dataset holds its file open while it lives, so a directory
+    regenerated under it (a new file put in place) changes neither its
+    pixels nor its hash.
     """
 
     def __init__(self, manifest: DatasetManifest, directory):
         path = os.path.join(directory, "images.bin")
-        self._fd = os.open(path, os.O_RDONLY)
+        try:
+            self._fd = os.open(path, os.O_RDONLY)
+        except FileNotFoundError:
+            raise DatasetError(f"missing file: {path}") from None
         weakref.finalize(self, os.close, self._fd)
         self.manifest = manifest
         self.directory = directory
-        self.rows = _map_rows(self._fd, path, manifest)
-        self.pixels = self.rows["pixels"]
-        self.class_ids = self.rows["class_id"]
+        self.pixels = _map_rows(self._fd, path, manifest)
 
     @staticmethod
     def load(directory):
+        """The dataset under `directory`; any refusal is a `DatasetError`."""
         path = os.path.join(directory, "manifest.json")
         try:
             manifest = DatasetManifest.from_dict(read_json(path))
+        except CheckpointError as e:  # missing, or not JSON: the message names the path
+            raise DatasetError(str(e)) from None
         except ValueError as e:
             raise DatasetError(f"{path}: {e}") from None
         return Dataset(manifest, directory)
 
-    def save(self, directory):
-        """Write this dataset under `directory`; returns the dataset mapped there."""
-        return _write_dataset(directory, self.manifest, self._class_blocks())
-
     def _class_blocks(self):
-        """Each class's records in turn, read from the open file (not the
-        mapping) into one writable array that every step reuses."""
-        buf = bytearray(self.manifest.split.per_class * self.rows.dtype.itemsize)
+        """Each class's (per_class, H, W, C) images in turn, read from the
+        open file (not the mapping) into one writable array that every step
+        reuses."""
+        block = np.empty((self.manifest.split.per_class, *self.pixels.shape[1:]), "<f4")
         for cid in range(len(self.manifest.classes)):
-            if os.preadv(self._fd, [buf], _HEADER + cid * len(buf)) != len(buf):
+            if os.preadv(self._fd, [block], _HEADER + cid * block.nbytes) != block.nbytes:
                 raise DatasetError(f"short read of class {cid} in {self.directory}")
-            yield np.frombuffer(buf, self.rows.dtype)
+            yield block
 
     @property
     def content_hash(self):
         """sha256 of the canonical manifest and every pixel, one class block at a time."""
         h = hashlib.sha256(canonical_json(self.manifest.to_dict()).encode())
         for block in self._class_blocks():
-            for pixels in block["pixels"]:
-                h.update(pixels)
+            h.update(block)
         return h.hexdigest()
 
     def _block(self, class_id):
@@ -277,14 +295,14 @@ class Dataset:
 
 
 def _write_dataset(directory, manifest, blocks):
-    """Write the header and then each class block of records to a temporary
+    """Write the header and then each class block of images to a temporary
     file that replaces `images.bin`, then the manifest; returns the dataset
     mapped from `directory`."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, "images.bin")
     count = len(manifest.classes) * manifest.split.per_class
     with open(path + ".tmp", "wb") as f:
-        f.write(MAGIC + np.asarray([FORMAT_VERSION, count], "<u4").tobytes())
+        f.write(MAGIC + np.asarray([IMAGES_VERSION, count], "<u4").tobytes())
         for block in blocks:
             block.tofile(f)
     os.replace(path + ".tmp", path)
@@ -337,20 +355,18 @@ def build_family_manifest(name, palettes, seed, split_counts, noise=0.06,
 
 
 def generate_dataset(manifest: DatasetManifest, out_dir) -> Dataset:
-    """Write every record of a manifest under `out_dir`, one class block at a
+    """Write every image of a manifest under `out_dir`, one class block at a
     time; bit-identical per manifest. Returns the dataset mapped there."""
     return _write_dataset(out_dir, manifest, _rendered_blocks(manifest))
 
 
 def _rendered_blocks(manifest):
-    """Each class's records in turn, in one array that every step refills."""
-    block = np.zeros(manifest.split.per_class, _row_dtype(manifest))
+    """Each class's images in turn, in one array that every step refills."""
+    block = np.zeros((manifest.split.per_class, *_image_shape(manifest)), "<f4")
     for cls in manifest.classes:
-        for idx, row in enumerate(block):  # each row is a view into `block`
-            sseed = _sample_seed(manifest.seed, cls.id, idx)
-            row["class_id"], row["sample_seed"] = cls.id, sseed
-            row["pixels"] = render_image(cls, manifest.image_size, manifest.noise,
-                                         np.random.default_rng(sseed))
+        for idx in range(len(block)):
+            rng = np.random.default_rng(_sample_seed(manifest.seed, cls.id, idx))
+            block[idx] = render_image(cls, manifest.image_size, manifest.noise, rng)
         yield block
 
 
@@ -381,9 +397,8 @@ def make_shifted_variant(dataset: Dataset, shift, out_dir) -> Dataset:
 def _shifted_blocks(dataset, shift):
     seed, per_class = dataset.manifest.seed, dataset.manifest.split.per_class
     for cid, block in enumerate(dataset._class_blocks()):
-        pixels = block["pixels"]
         for j in range(len(block)):
-            img = pixels[j].astype(np.float64)
+            img = block[j].astype(np.float64)
             if shift == "palette_shift":
                 img = img * np.asarray([1.18, 0.82, 1.05]) + np.asarray([0.02, 0.05, -0.02])
             elif shift == "noise":
@@ -393,7 +408,7 @@ def _shifted_blocks(dataset, shift):
             elif shift == "style_remap":
                 img = 0.82 * img + 0.18 * img[..., [1, 2, 0]]  # mild channel blend
                 img = np.clip(img, 0.0, 1.0) ** 0.65
-            pixels[j] = np.clip(img, 0.0, 1.0)  # identity: every pixel is already in [0, 1]
+            block[j] = np.clip(img, 0.0, 1.0)  # identity: every pixel is already in [0, 1]
         yield block
 
 

@@ -82,6 +82,5 @@ def seed_study(backbone, source):
                 "report": report,
                 "metrics": result.metrics,
                 "history": result.history,
-                "model": result.model,
             })
     return {"runs": runs, "elapsed": time.time() - start}

@@ -2,6 +2,7 @@
 and helpers only tests call."""
 
 import hashlib
+import os
 
 import numpy as np
 
@@ -94,3 +95,17 @@ def nearest_centroid_accuracy(dataset, class_ids=None):
             correct += pred == pos
             total += 1
     return correct / total
+
+
+def write_version_1_images(directory):
+    """Rewrite a dataset's `images.bin` in the version-1 layout, which put a
+    class id (u32) and a sample seed (u64) before each image."""
+    path = os.path.join(directory, "images.bin")
+    with open(path, "rb") as f:
+        header, payload = f.read(12), f.read()
+    pixels = np.frombuffer(payload, "<f4").reshape(-1, 32, 32, 3)
+    rows = np.zeros(len(pixels), [("class_id", "<u4"), ("sample_seed", "<u8"),
+                                  ("pixels", "<f4", (32, 32, 3))])
+    rows["pixels"] = pixels
+    with open(path, "wb") as f:
+        f.write(header[:4] + np.asarray([1, len(rows)], "<u4").tobytes() + rows.tobytes())

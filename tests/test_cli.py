@@ -23,6 +23,8 @@ from coprompt.encoders import (
 )
 from coprompt.training import NonFiniteLossError
 
+from helpers import write_version_1_images
+
 
 def _write(path, obj):
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -442,6 +444,10 @@ def _append_to_images(ft, bb, ds):
     path.write_bytes(path.read_bytes() + bytes(7))
 
 
+def _images_format_1(ft, bb, ds):
+    write_version_1_images(ds)
+
+
 def _grow_dataset_split(ft, bb, ds):
     _edit_json(ds / "manifest.json", lambda m: m["split"].update(test=m["split"]["test"] + 1))
 
@@ -459,11 +465,12 @@ def _grow_dataset_split(ft, bb, ds):
     (_truncate_images, "truncated"),
     (_append_to_images, "bytes"),
     (_grow_dataset_split, "records"),
+    (_images_format_1, "version 1"),
 ], ids=["tensor_byte_flip", "finetune_config_edit", "finetune_hint_edit",
         "backbone_manifest_edit",
         "tensor_shape_edit", "backbone_manifest_not_object", "finetune_config_not_object",
         "finetune_tensors_not_object", "finetune_config_truncated", "images_truncated", "images_trailing_bytes",
-        "dataset_split_edit"])
+        "dataset_split_edit", "images_format_1"])
 def test_corrupted_checkpoint_refuses_to_run(rig, tmp_path, capsys, corrupt, message):
     root, suite_dir, bb_dir = rig
     bb, ds, ft_dir = tmp_path / "bb", tmp_path / "ds", tmp_path / "ft"
@@ -555,6 +562,14 @@ def _manifest_split_train_as_string(m):
     m["split"]["train"] = "6"
 
 
+def _manifest_base_id_99(m):
+    m["split"]["base"][-1] = 99
+
+
+def _manifest_class_ids_swapped(m):
+    m["classes"][0]["id"], m["classes"][1]["id"] = 1, 0
+
+
 @pytest.mark.parametrize("command, overrides, manifest_edit, named", [
     ("finetune", ["train.lr=abc"], None, "train.lr"),
     ("finetune", ["train.shots=2.5"], None, "train.shots"),
@@ -574,12 +589,25 @@ def _manifest_split_train_as_string(m):
     ("finetune", [], _manifest_split_train_as_string, "split.train"),
     ("pretrain", ["encoder.text_len=8"], None, "text_len"),
     ("finetune", ["train.prompt_m=12"], None, "text_len"),
+    ("gen-data", ["source_counts=[-1,2,3]"], None, "source_counts"),
+    ("gen-data", ["source_counts=[0,0,0]"], None, "source_counts"),
+    ("gen-data", ["source_counts=[1,2]"], None, "source_counts"),
+    ("gen-data", ["target_counts=[4,-1,2]"], None, "target_counts"),
+    ("gen-data", ["noise=-1"], None, "noise"),
+    ("finetune", [], _manifest_base_id_99, "[99]"),
+    ("eval", [], _manifest_base_id_99, "[99]"),
+    ("finetune", [], _manifest_class_ids_swapped, "has id 1"),
+    ("eval", [], _manifest_class_ids_swapped, "has id 1"),
 ], ids=["train_lr_string", "train_shots_float", "train_consistency_int", "train_int",
         "override_inside_train_int", "train_lambda_bool", "gen_data_source_counts_int",
         "eval_targets_int", "eval_variants_int", "eval_targets_empty",
         "eval_variants_empty", "ablate_seeds_int", "ablate_train_list",
         "sweep_values_int", "manifest_noise_missing", "manifest_split_train_string",
-        "pretrain_captions_over_text_len", "finetune_prompts_over_text_len"])
+        "pretrain_captions_over_text_len", "finetune_prompts_over_text_len",
+        "gen_data_negative_count", "gen_data_no_image_per_class", "gen_data_two_counts",
+        "gen_data_negative_target_count", "gen_data_negative_noise",
+        "finetune_base_id_out_of_range", "eval_base_id_out_of_range",
+        "finetune_class_id_not_its_position", "eval_class_id_not_its_position"])
 def test_malformed_input_exits_2(rig, tmp_path, capsys, command, overrides,
                                  manifest_edit, named):
     """Every unknown, missing or wrong-typed config or manifest value exits 2

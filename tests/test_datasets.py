@@ -1,11 +1,16 @@
 """Dataset generation, on-disk format, shifts, and few-shot splits."""
 
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from coprompt.checkpoints import canonical_json
 from coprompt.datasets import (
+    IMAGES_VERSION,
+    MAGIC,
     VARIANT_SHIFTS,
     Dataset,
     DatasetError,
@@ -17,7 +22,7 @@ from coprompt.datasets import (
 )
 from coprompt.encoders import Tokenizer
 
-from helpers import nearest_centroid_accuracy
+from helpers import nearest_centroid_accuracy, write_version_1_images
 
 
 @pytest.fixture(scope="module")
@@ -45,13 +50,73 @@ def test_load_roundtrip(source):
     assert np.array_equal(loaded.pixels[17], source.pixels[17])
 
 
-def test_save_load_save_is_byte_identical_for_every_suite_member(tmp_path, suite):
+def test_images_bin_is_the_header_then_the_pixels_for_every_suite_member(suite):
     for name, ds in suite.items():
         loaded = Dataset.load(ds.directory)
         assert np.array_equal(loaded.pixels, ds.pixels)
-        loaded.save(str(tmp_path / name))
-        assert ((tmp_path / name / "images.bin").read_bytes()
-                == open(f"{ds.directory}/images.bin", "rb").read())
+        assert loaded.pixels.flags.c_contiguous, name
+        header = MAGIC + np.asarray([IMAGES_VERSION, len(loaded.pixels)], "<u4").tobytes()
+        assert (open(f"{ds.directory}/images.bin", "rb").read()
+                == header + loaded.pixels.tobytes()), name
+
+
+def test_content_hash_is_sha256_of_the_manifest_then_the_pixels(suite):
+    """The block-wise hash is the definition every `dataset_hash` relies on."""
+    for name, ds in suite.items():
+        payload = canonical_json(ds.manifest.to_dict()).encode() + ds.pixels.tobytes()
+        assert ds.content_hash == hashlib.sha256(payload).hexdigest(), name
+
+
+def _write(name, text):
+    return lambda directory: (directory / name).write_text(text)
+
+
+def _delete(name):
+    return lambda directory: (directory / name).unlink()
+
+
+def _edit_manifest(edit):
+    def apply(directory):
+        manifest = json.loads((directory / "manifest.json").read_text())
+        edit(manifest)
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+    return apply
+
+
+def _edit_split(**values):
+    return _edit_manifest(lambda m: m["split"].update(values))
+
+
+def _swap_class_ids(m):
+    m["classes"][0]["id"], m["classes"][1]["id"] = 1, 0
+
+
+@pytest.mark.parametrize("corrupt, name, message", [
+    (_delete("manifest.json"), "manifest.json", "missing file"),
+    (_write("manifest.json", '{"x": '), "manifest.json", "Expecting"),
+    (_write("manifest.json", '{"x": 1}'), "manifest.json", "unknown dataset manifest keys"),
+    (_delete("images.bin"), "images.bin", "missing file"),
+    (write_version_1_images, "images.bin", "version 1, not 2; re-run gen-data"),
+    (_edit_split(base=[0, 99]), "manifest.json", r"split class ids \[99\]"),
+    (_edit_split(novel=[-1]), "manifest.json", r"split class ids \[-1\]"),
+    (_edit_manifest(_swap_class_ids), "manifest.json", "at position 0 has id 1"),
+    (_edit_split(train=-1, val=2), "manifest.json", "'train' must be >= 0"),
+    (_edit_split(train=0, test=0), "manifest.json", "no image per class"),
+    (_edit_manifest(lambda m: m.update(noise=-1)), "manifest.json", "'noise' must be >= 0"),
+], ids=["no_manifest", "manifest_not_json", "manifest_unknown_key", "no_images",
+        "images_format_1", "base_id_out_of_range", "novel_id_negative",
+        "class_id_not_its_position", "negative_count", "no_image_per_class",
+        "negative_noise"])
+def test_load_refuses_a_bad_directory_with_one_error_type(tmp_path, corrupt, name, message):
+    """Every refusal is a `DatasetError` that names the bad file once."""
+    directory = tmp_path / "ds"
+    manifest = build_family_manifest("tiny", ("crimson", "azure", "jade"), seed=3,
+                                     split_counts=(1, 0, 1))
+    generate_dataset(manifest, str(directory))
+    corrupt(directory)
+    with pytest.raises(DatasetError, match=message) as info:
+        Dataset.load(str(directory))
+    assert str(info.value).count(str(directory / name)) == 1
 
 
 def _traced_peak(fn):
@@ -64,11 +129,11 @@ def _traced_peak(fn):
 
 
 def _class_block_bytes(ds):
-    return ds.manifest.split.per_class * ds.rows.dtype.itemsize
+    return ds.manifest.split.per_class * ds.pixels[0].nbytes
 
 
 def test_generation_and_shifts_hold_one_image_set(tmp_path, source):
-    """Generating a dataset or a shifted variant (and saving it) never holds
+    """Generating a dataset or a shifted variant never holds
     a second copy of the image set: peak within 1.25x the pixel bytes, and
     within 3 class blocks, since both are written one class block at a time."""
     bound = min(1.25 * source.pixels.nbytes, 3 * _class_block_bytes(source))
@@ -80,7 +145,7 @@ def test_generation_and_shifts_hold_one_image_set(tmp_path, source):
 
 
 def test_load_maps_the_file_read_only(source):
-    """Loading copies no pixels: the records are a read-only mapping of `images.bin`."""
+    """Loading copies no pixels: they are a read-only mapping of `images.bin`."""
     loaded = []
     assert _traced_peak(lambda: loaded.append(Dataset.load(source.directory))) \
         < 0.01 * source.pixels.nbytes
@@ -223,9 +288,8 @@ def test_fewshot_gathers_label_major_record_indices(source):
 
 def test_fewshot_full_class_size(source):
     split = make_fewshot_split(source, shots=source.manifest.split.train, seed=1)
-    for cid in source.manifest.split.base:
-        got = sorted(int(i) for i in split.indices if source.class_ids[i] == cid)
-        assert got == source.pool_indices(cid, "train")
+    for label, cid in enumerate(source.manifest.split.base):
+        assert split.indices[split.labels == label].tolist() == source.pool_indices(cid, "train")
 
 
 def test_fewshot_seeds_differ(source):
