@@ -6,8 +6,11 @@ The change is HEAD. Both commits are extracted with `git archive` into a tempora
 the working tree and the git metadata are left alone. Pair i runs
 `perfbench/run.py --workload W --seed <11 + i> --seconds 30 --trace 0` once
 per side, and the side that goes first alternates. Per workload and
-end-to-end metric the file holds both sides' values, median, q1 and q3 and
-the pairs the change won or tied (direction from BENCHMARK.json); one
+end-to-end metric the file holds both sides' values, median, q1 and q3,
+the pairs the change won or tied (direction from BENCHMARK.json) and
+`gain_shown`: the change won at least 9 in 10 pairs (ties count for neither
+side) and its median is better than the parent's by more than the parent's
+q3 - q1, the rule a claimed gain must meet; one
 `--trace 1` run at seed 1 per side adds the per-layer counts and each
 layer's self time as a percentage of its traced pass (`.self_pct`). The
 `predict` latency line each eval run prints is kept as `predict_ms_p50` and
@@ -192,11 +195,15 @@ def main(argv=None):
             for name, direction in better.items():
                 values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                           for side in SIDES}
-                gains = [(c - p) * (-1 if direction == "lower" else 1)
-                         for p, c in zip(values["parent"], values["change"])]
-                metrics[name] = {**{side: summary(values[side]) for side in SIDES},
-                                 "better": direction, "wins": sum(g > 0 for g in gains),
-                                 "ties": sum(g == 0 for g in gains)}
+                sign = -1 if direction == "lower" else 1
+                gains = [(c - p) * sign for p, c in zip(values["parent"], values["change"])]
+                sides = {side: summary(values[side]) for side in SIDES}
+                wins = sum(g > 0 for g in gains)
+                shift = (sides["change"]["median"] - sides["parent"]["median"]) * sign
+                metrics[name] = {**sides, "better": direction, "wins": wins,
+                                 "ties": sum(g == 0 for g in gains),
+                                 "gain_shown": 10 * wins >= 9 * len(gains)
+                                 and shift > sides["parent"]["q3"] - sides["parent"]["q1"]}
             result["workloads"][workload] = metrics
             result["per_layer_seed1"][workload] = {
                 side: {name: m["value"] for name, m in

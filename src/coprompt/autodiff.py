@@ -530,9 +530,10 @@ def gelu(a):
     np.copysign(cdf, x, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    data = x * cdf
     if not records((a,)):
-        return _from_op(data, (a,), None)
+        # nothing keeps cdf, so the same IEEE product x * cdf goes into its buffer
+        return _from_op(np.multiply(x, cdf, out=cdf), (a,), None)
+    data = x * cdf
     # the backward reads only the derivative, not x and cdf
     deriv, va = cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x)), _vertex(a)
     return _from_op(data, (a,), lambda g: _accumulate(va, g * deriv))

@@ -48,7 +48,7 @@ from .training import (
     check_max_steps,
     finetune,
     load_finetune_checkpoint,
-    measure_train_state,
+    train_ce,
 )
 
 THREADS_ENV = "COPROMPT_THREADS"
@@ -322,7 +322,7 @@ def cmd_eval(raw):
         if ds.content_hash != manifest["dataset_hash"]:
             raise CheckpointError("dataset hash does not match the checkpoint")
         split = make_fewshot_split(ds, train_cfg.shots, train_cfg.seed)
-        measured = measure_train_state(model, split, train_cfg.consistency)["final_train_ce"]
+        measured = train_ce(model, split)[0]
         recorded = _recorded_train_ce(ckpt)
         name, report = "train_ce.json", {"recomputed_ce": measured, "recorded_ce": recorded,
                                          "difference": abs(measured - recorded)}

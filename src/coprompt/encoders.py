@@ -343,27 +343,35 @@ class DualEncoder:
     def encode_image(self, images, prompts=None):
         """Encode images with pixel values in [0, 1].
 
-        A (B, image_size, image_size, channels) batch gives (B, embed_dim)
-        rows. `prompts` is a list of per-layer (m, width) vision prompt
-        tensors, injected as in `encode_text`.
+        `images` is a sequence of B (image_size, image_size, channels)
+        images: a (B, H, W, C) array or a list of rows, such as dataset
+        pixel views. It gives (B, embed_dim) rows. `prompts` is a list of
+        per-layer (m, width) vision prompt tensors, injected as in
+        `encode_text`. A call that records no graph stacks, patchifies and
+        encodes one tile of at most `IMAGE_TILE` images at a time, so it
+        holds one tile's pixels and activations, never the whole batch's.
         """
         cfg = self.config
-        imgs = np.asarray(images)
         expected = (cfg.image_size, cfg.image_size, cfg.channels)
-        if imgs.ndim != 4 or imgs.shape[1:] != expected:
-            raise ShapeError(f"image shape {imgs.shape} does not match (B,) + {expected}")
-        if imgs.shape[0] == 0:
+        if len(images) == 0:
             raise ShapeError("encode_image: empty batch")
+        for i, image in enumerate(images):
+            if np.shape(image) != expected:
+                raise ShapeError(f"image shape {np.shape(image)} of row {i} does not match "
+                                 f"{expected}; pass a batch of images")
         # near-equal tiles: a tile of one image would take other BLAS kernels
-        n = 1 if ad.records([*self.weights.values(), *(prompts or ())]) else -(-len(imgs) // IMAGE_TILE)
-        rows = [self._encode_image_tile(t, prompts) for t in np.array_split(imgs, n)]
+        n = 1 if ad.records([*self.weights.values(), *(prompts or ())]) else -(-len(images) // IMAGE_TILE)
+        rows = [self._encode_image_tile(images[t[0]:t[-1] + 1], prompts)
+                for t in np.array_split(np.arange(len(images)), n)]
         return rows[0] if n == 1 else Tensor(np.concatenate([r.data for r in rows]))
 
-    def _encode_image_tile(self, imgs, prompts):
+    def _encode_image_tile(self, images, prompts):
         cfg = self.config
         w = self.weights
-        patches = Tensor(patchify(imgs, cfg.patch_grid))
-        x = ad.matmul(patches, w["img.patch.w"], bias=w["img.patch.b"]) + w["img.pos_emb"]
+        # the stacked pixels and the float64 patches are temporaries of this
+        # one expression, freed once the patch projection returns
+        x = ad.matmul(Tensor(patchify(np.asarray(images), cfg.patch_grid)),
+                      w["img.patch.w"], bias=w["img.patch.b"]) + w["img.pos_emb"]
         x = self._run_layers("img", x, prompts, slice(-cfg.num_patches, None))
         x = ad.layernorm(x, w["img.lnf.g"], w["img.lnf.b"])
         return self._project("img", ad.mean(x, axis=1))
@@ -425,7 +433,7 @@ def retrieval_accuracy(enc, images, classes, class_templates):
     """Image-to-text retrieval over the class template sentences."""
     with ad.no_grad():
         text = enc.encode_text(class_templates).data
-        img = enc.encode_image(np.stack(images)).data
+        img = enc.encode_image(images).data
     predicted = np.argmax(img @ text.T, axis=1)
     return float(np.mean(predicted == classes))
 

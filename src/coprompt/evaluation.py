@@ -94,15 +94,20 @@ def _pool_accuracy(model, dataset: Dataset, class_ids, pool="test"):
     """Accuracy over a pool, predicting within the given class id set.
 
     Returns (accuracy %, per-class dict). The class text embeddings and the
-    pool's images are each encoded in one batch; prediction is argmax over
-    similarity, identical to `predict`.
+    pool's image rows are each encoded in one call; prediction is argmax
+    over similarity, identical to `predict`. A pool with no image is a
+    `DatasetError`, raised before anything is encoded.
     """
     model = _as_model(model)
     names = [dataset.manifest.classes[cid].name for cid in class_ids]
     samples = dataset.pool(class_ids, pool)
+    if not samples:
+        raise DatasetError(f"{dataset.directory}: no image to score in the {pool!r} pool "
+                           f"({len(class_ids)} classes, {getattr(dataset.manifest.split, pool)} "
+                           "images per class)")
     with ad.no_grad():
         class_embs = _class_matrix(model, names)
-        embs = model.image_embedding(np.stack([pixels for pixels, _ in samples])).data
+        embs = model.image_embedding([pixels for pixels, _ in samples]).data
     predicted = np.argmax((embs @ class_embs.T) / model.tau, axis=1)
     position = {cid: pos for pos, cid in enumerate(class_ids)}
     truth = np.asarray([position[cid] for _, cid in samples])

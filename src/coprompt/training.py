@@ -142,7 +142,7 @@ class TunedModel:
         return apply_adapter(self.adapters.get("text"), e)
 
     def image_embedding(self, images):
-        """A (B, H, W, C) image batch -> (B, E)."""
+        """A sequence of B (H, W, C) images -> (B, E); see `DualEncoder.encode_image`."""
         _, vision_sched = self.prompt_set.schedules()
         e = self.backbone.encode_image(images, prompts=vision_sched)
         return apply_adapter(self.adapters.get("image"), e)
@@ -355,27 +355,44 @@ class Trainer:
         return trainer
 
 
-# shared post-training measurement helper (also backs `eval --protocol train_ce`)
+# shared post-training measurements (`train_ce` also backs `eval --protocol train_ce`)
+
+
+def _split_inputs(model: TunedModel, data: FewShotSplit):
+    """The split's base-class template sentences and its image rows."""
+    return ([tuple(template_tokens(model.tokenizer, n)) for n in data.base_class_names],
+            [data.dataset.pixels[i] for i in data.indices])
+
+
+def train_ce(model: TunedModel, data: FewShotSplit, inputs=None):
+    """Mean CE of the tuned model over the whole few-shot split on
+    unperturbed inputs, with the (C, E) class and (N, E) image embeddings it
+    scored: (ce, class_embs, tuned_img). `inputs` is `_split_inputs(model,
+    data)` when the caller already has it."""
+    templates, images = inputs or _split_inputs(model, data)
+    with ad.no_grad():
+        class_embs = model.class_matrix(templates).data
+        tuned_img = model.image_embedding(images).data
+    z = (tuned_img @ class_embs.T) / model.tau
+    z = z - z.max(axis=1, keepdims=True)
+    ce = np.log(np.exp(z).sum(axis=1)) - z[np.arange(len(images)), data.labels]
+    return float(ce.mean()), class_embs, tuned_img
 
 
 def measure_train_state(model: TunedModel, data: FewShotSplit, cons: ConsistencyConfig):
     """Mean CE, consistency value, and per-branch embedding deviation over
     the whole few-shot split on unperturbed inputs."""
-    templates = [tuple(template_tokens(model.tokenizer, n)) for n in data.base_class_names]
-    images, labels = data.dataset.pixels[data.indices], data.labels
+    templates, images = inputs = _split_inputs(model, data)
+    ce, class_embs, tuned_img = train_ce(model, data, inputs)
+    labels = data.labels
     with ad.no_grad():
-        class_embs = model.class_matrix(templates).data
         frozen_cls = model.backbone.encode_text(templates).data
-        tuned_img = model.image_embedding(images).data
         frozen_img = model.backbone.encode_image(images).data
         cc = float(consistency_loss(cons,
                                     frozen_cls[labels], class_embs[labels],
                                     frozen_img, tuned_img).item())
-    z = (tuned_img @ class_embs.T) / model.tau
-    z = z - z.max(axis=1, keepdims=True)
-    ce = np.log(np.exp(z).sum(axis=1)) - z[np.arange(len(labels)), labels]
     return {
-        "final_train_ce": float(ce.mean()),
+        "final_train_ce": ce,
         "final_train_cc": cc,
         "text_deviation": float(np.mean(np.linalg.norm(class_embs - frozen_cls, axis=1))),
         "image_deviation": float(np.mean(np.linalg.norm(tuned_img - frozen_img, axis=1))),

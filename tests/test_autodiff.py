@@ -269,6 +269,10 @@ def test_gelu_is_bitwise_the_unfolded_erf_formula():
     want = x * cdf
     assert np.array_equal(out.data, want) and np.array_equal(np.signbit(out.data), np.signbit(want))
     assert np.array_equal(t.grad, cdf + x * (ad._INV_SQRT_2PI * np.exp(-0.5 * x * x)))
+    # a pass that records nothing computes the product in place: the same bits
+    with ad.no_grad():
+        free = ad.gelu(t)
+    assert not free.requires_grad and free.data.tobytes() == out.data.tobytes()
 
 
 def test_backward_rejects_a_gradient_of_another_shape():

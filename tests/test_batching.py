@@ -118,8 +118,12 @@ def test_empty_batches_and_bad_shapes_raise():
         enc.encode_text([(1, 2), ()])
     with pytest.raises(ShapeError, match="empty"):
         enc.encode_image(np.zeros((0, 16, 16, 3)))
+    with pytest.raises(ShapeError, match="empty"):
+        enc.encode_image([])
     with pytest.raises(ShapeError, match="image shape"):
         enc.encode_image(np.zeros((2, 8, 16, 16, 3)))
+    with pytest.raises(ShapeError, match="image shape"):
+        enc.encode_image([np.zeros((16, 16, 3)), np.zeros((16, 8, 3))])
     # one example, not a batch of one
     with pytest.raises(ShapeError):
         enc.encode_image(np.zeros((16, 16, 3)))
@@ -150,9 +154,11 @@ def test_graph_free_image_tiles_equal_one_pass_rows(prompts, adapters, n_images,
         per_tile = np.concatenate([model.image_embedding(t).data
                                    for t in np.array_split(images, 3)])
         per_example = np.concatenate([model.image_embedding(x[None]).data for x in images])
+        as_rows = model.image_embedding(list(images)).data
         monkeypatch.setattr(encoders, "IMAGE_TILE", n_images)
         one_pass = model.image_embedding(images).data
     assert rows.shape == (n_images, 8)
+    assert np.array_equal(rows, as_rows)
     assert np.array_equal(rows, one_pass)
     assert np.array_equal(rows, per_tile)
     # a batch of one takes other BLAS kernels, so its rows agree to rounding

@@ -712,6 +712,30 @@ def test_eval_maps_one_dataset_at_a_time(rig, wide_backbone, tmp_path, monkeypat
     assert report["average"] == table["average"]
 
 
+@pytest.mark.parametrize("protocol", ["base_to_novel", "cross_dataset", "domain_gen"])
+def test_eval_refuses_an_empty_test_pool(rig, tmp_path, capsys, protocol):
+    """A suite generated with no test image per class is a data error (exit
+    2, one line naming the dataset, the pool and its per-class count), not a
+    failure inside the image encoder."""
+    root, suite_dir, bb_dir = rig
+    suite = tmp_path / "suite"
+    assert main(["gen-data", "--out", str(suite), "--override", "source_counts=[2,1,0]",
+                 "--override", "target_counts=[2,1,0]"]) == 0
+    if protocol == "base_to_novel":
+        cfg = {"checkpoint": str(bb_dir), "protocol": protocol,
+               "dataset": str(suite / SOURCE_FAMILY), "out": str(tmp_path / "ev")}
+        first = suite / SOURCE_FAMILY
+    else:
+        cfg = _multi_eval_config(protocol, suite, bb_dir, tmp_path / "ev")
+        first = cfg.get("dataset") or cfg["variants"][0]
+    capsys.readouterr()
+    assert main(["eval", "--config", _write(tmp_path / "e.json", cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert str(first) in err[0] and "'test' pool" in err[0] and "0 images per class" in err[0]
+    assert not (tmp_path / "ev" / "report.json").exists()
+
+
 @pytest.mark.parametrize("protocol, last, named", [
     ("cross_dataset", "missing", "target dataset not found"),
     ("domain_gen", "missing", "variant dataset not found"),

@@ -2,6 +2,7 @@
 configuration collapses, state restore, and loss decomposition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +12,22 @@ from coprompt.autodiff import Tensor, backward
 from coprompt.checkpoints import CheckpointError
 from coprompt.consistency import ConsistencyConfig
 from coprompt.datasets import build_family_manifest, generate_dataset, make_fewshot_split
-from coprompt.encoders import DualEncoder, EncoderConfig, Tokenizer, build_pretrain_split
+from coprompt.encoders import (
+    IMAGE_TILE,
+    DualEncoder,
+    EncoderConfig,
+    Tokenizer,
+    build_pretrain_split,
+)
 from coprompt.training import (
     NonFiniteLossError,
     TrainConfig,
     Trainer,
     finetune,
+    measure_train_state,
     supervised_loss,
     total_loss,
+    tuned_model,
 )
 
 from helpers import assert_grads_match, clone_frozen, weight_digest
@@ -135,6 +144,29 @@ def mini(tmp_path_factory):
     backbone = clone_frozen(enc)
     split = make_fewshot_split(ds, shots=4, seed=0)
     return backbone, ds, split
+
+
+def test_train_state_peak_memory_is_one_tile(tmp_path):
+    """The split's images reach the encoders as dataset rows and are stacked
+    one tile at a time, so measuring 8 tiles peaks where measuring one does."""
+    manifest = build_family_manifest("tiles", ("crimson", "azure", "jade"), seed=2,
+                                     split_counts=(IMAGE_TILE, 0, 1))
+    ds = generate_dataset(manifest, str(tmp_path))
+    backbone = DualEncoder(EncoderConfig(), Tokenizer.from_manifests([manifest]), seed=0,
+                           frozen=True)
+
+    def peak(shots):
+        split = make_fewshot_split(ds, shots, seed=0)
+        model = tuned_model(backbone, TrainConfig(shots=shots))
+        tracemalloc.start()
+        try:
+            measure_train_state(model, split, ConsistencyConfig())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_tile = peak(IMAGE_TILE // 8)  # 8 base classes: 32 images
+    assert peak(IMAGE_TILE) < 1.1 * one_tile
 
 
 def _cfg(**kw):
