@@ -10,7 +10,10 @@ end-to-end metric the file holds both sides' values, median, q1 and q3,
 the pairs the change won or tied (direction from BENCHMARK.json) and
 `gain_shown`: the change won at least 9 in 10 pairs (ties count for neither
 side) and its median is better than the parent's by more than the parent's
-q3 - q1, the rule a claimed gain must meet; one
+q3 - q1, the rule a claimed gain must meet; and `within_bound`: the change's
+median is worse than the parent's by no more than the metric's `bound` in
+BENCHMARK.json, taken relative to the parent's median, the rule every
+change must meet; one
 `--trace 1` run at seed 1 per side adds the per-layer counts and each
 layer's self time as a percentage of its traced pass (`.self_pct`). The
 `predict` latency line each eval run prints is kept as `predict_ms_p50` and
@@ -163,8 +166,7 @@ def main(argv=None):
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     revs = {"parent": args.parent, "change": "HEAD"}
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
@@ -192,7 +194,8 @@ def main(argv=None):
                 for q, key in enumerate(("predict_ms_p50", "predict_ms_p95")):
                     metrics[key] = {side: summary([p[q] for p in predicts[side]])
                                     for side in SIDES}
-            for name, direction in better.items():
+            for spec in end_to_end:
+                name, direction, bound = spec["name"], spec["better"], spec["bound"]
                 values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                           for side in SIDES}
                 sign = -1 if direction == "lower" else 1
@@ -203,7 +206,9 @@ def main(argv=None):
                 metrics[name] = {**sides, "better": direction, "wins": wins,
                                  "ties": sum(g == 0 for g in gains),
                                  "gain_shown": 10 * wins >= 9 * len(gains)
-                                 and shift > sides["parent"]["q3"] - sides["parent"]["q1"]}
+                                 and shift > sides["parent"]["q3"] - sides["parent"]["q1"],
+                                 "within_bound":
+                                 shift >= -bound * abs(sides["parent"]["median"])}
             result["workloads"][workload] = metrics
             result["per_layer_seed1"][workload] = {
                 side: {name: m["value"] for name, m in

@@ -22,8 +22,10 @@ recorded: flipping a leaf's `requires_grad` between recording and `backward`
 is not supported.
 
 `backward` leaves a gradient only on leaves; an interior node's gradient is
-released as soon as its own backward has used it. A graph stays whole after
-a sweep and can be swept again, which adds to the leaves' gradients.
+released as soon as its own backward has used it. A sweep consumes its
+graph: it drops each node's backward, and with it the arrays that backward
+kept, as it passes the node. A second sweep of a swept graph, or of a new
+one built on a tensor from it, is refused with `GradError`.
 """
 
 from __future__ import annotations
@@ -180,10 +182,11 @@ def _wrap(value):
 
 
 class _Node:
-    """A recorded op's vertex: its parent vertices, backward closure, creation
-    order and gradient slot. It keeps its output's shape, not its data; only
-    an output that is not C-contiguous (a broadcast view) is kept, as
-    `_layout`, so that a gradient is laid out as np.empty_like(data) would."""
+    """A recorded op's vertex: its parent vertices, backward closure (None
+    once a sweep has passed it), creation order and gradient slot. It keeps
+    its output's shape, not its data; only an output that is not
+    C-contiguous (a broadcast view) is kept, as `_layout`, so that a
+    gradient is laid out as np.empty_like(data) would."""
 
     __slots__ = ("_parents", "_backward", "_seq", "grad", "shape", "_layout")
 
@@ -264,15 +267,18 @@ def backward(loss):
     depend on what else consumes it; detaching a zero-weighted branch leaves
     the remaining trajectory bit-identical.
 
-    Leaf gradients accumulate across repeated calls. Interior gradients are
-    released once consumed: a node's `.grad` is set to None as soon as its
-    backward has handed it on, so after the sweep only leaves hold one, and
-    the sweep's gradient memory is live only between a node's first
-    gradient and its own turn. The graph is left intact (each node keeps
-    its parents and the arrays its backward reads), so it can be swept
-    again. The reset before the sweep is kept for a sweep that raised
-    partway (say, a `GradError` from a misshapen gradient): the interior
-    nodes it had handed a gradient but not yet reached still hold it.
+    Leaf gradients accumulate across calls, each over a new graph. Interior
+    gradients are released once consumed: a node's `.grad` is set to None
+    as soon as its backward has handed it on, so after the sweep only leaves
+    hold one, and the sweep's gradient memory is live only between a node's
+    first gradient and its own turn. The sweep consumes the graph: it takes
+    each node's backward as it reaches the node, so the arrays that backward
+    kept are freed once no other backward holds them. A graph with a swept
+    node (the same loss again, or a new loss built on a swept tensor) is
+    refused with `GradError` before any gradient moves. The reset before
+    the sweep is kept for a sweep that raised partway (say, a `GradError`
+    from a misshapen gradient): the interior nodes it had handed a gradient
+    but not yet reached still hold it, and a later graph may reach them.
     """
     if loss.data.size != 1:
         raise GradError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -284,6 +290,8 @@ def backward(loss):
     interior, seen, stack = [], {id(root)}, [root]
     while stack:
         node = stack.pop()
+        if node._backward is None:
+            raise GradError("backward: the graph was already swept; build a new one")
         interior.append(node)
         for parent in node._parents:
             if isinstance(parent, _Node) and id(parent) not in seen:
@@ -297,8 +305,9 @@ def backward(loss):
 
     for node in interior:
         g, node.grad = node.grad, None
+        bw, node._backward = node._backward, None
         if g is not None:
-            node._backward(g)
+            bw(g)
 
 
 # ---------------------------------------------------------------------------

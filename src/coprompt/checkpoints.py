@@ -52,6 +52,13 @@ def _payload(array, dtype):
     return np.asarray(array, dtype=np.float64).astype(_DTYPES[dtype]).tobytes()
 
 
+def require_file(path, error):
+    """Raise `error`, naming `path`, unless it is a regular file."""
+    if not os.path.isfile(path):
+        what = "not a regular file" if os.path.exists(path) else "missing file"
+        raise error(f"{what}: {path}")
+
+
 def write_tensor(directory, name, array, dtype="f32"):
     """Write the bare payload `<name>.bin`; returns its sha256."""
     payload = _payload(array, dtype)
@@ -64,8 +71,7 @@ def read_tensor(directory, name, shape, dtype="f32", expected_sha=None):
     """Load `<name>.bin` back as a float64 array of `shape`, verifying its
     size and optional hash."""
     bin_path = os.path.join(directory, name + ".bin")
-    if not os.path.exists(bin_path):
-        raise CheckpointError(f"missing tensor file for {name!r} in {directory}")
+    require_file(bin_path, CheckpointError)
     with open(bin_path, "rb") as f:
         payload = f.read()
     if expected_sha is not None and sha256_hex(payload) != expected_sha:
@@ -97,8 +103,7 @@ def write_json(path, obj):
 
 
 def read_json(path):
-    if not os.path.exists(path):
-        raise CheckpointError(f"missing file: {path}")
+    require_file(path, CheckpointError)
     with open(path) as f:
         try:
             return json.load(f)

@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .autodiff import DomainError, GradError, ShapeError
-from .checkpoints import CheckpointError, Record, read_json, write_json
+from .checkpoints import CheckpointError, Record, read_json, require_file, write_json
 from .datasets import (
     Dataset,
     DatasetError,
@@ -87,8 +87,7 @@ def load_config(path, args):
     if path is None:
         cfg = {}
     else:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
+        require_file(path, ConfigError)
         with open(path) as f:
             try:
                 cfg = json.load(f)

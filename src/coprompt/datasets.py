@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoints import CheckpointError, Record, canonical_json, read_json, write_json
+from .checkpoints import (CheckpointError, Record, canonical_json, read_json, require_file,
+                          write_json)
 
 FORMAT_VERSION = 1  # the manifest's
 IMAGES_VERSION = 2  # `images.bin`'s: the header, then only the pixels
@@ -236,10 +237,8 @@ class Dataset:
 
     def __init__(self, manifest: DatasetManifest, directory):
         path = os.path.join(directory, "images.bin")
-        try:
-            self._fd = os.open(path, os.O_RDONLY)
-        except FileNotFoundError:
-            raise DatasetError(f"missing file: {path}") from None
+        require_file(path, DatasetError)
+        self._fd = os.open(path, os.O_RDONLY)
         weakref.finalize(self, os.close, self._fd)
         self.manifest = manifest
         self.directory = directory

@@ -442,8 +442,11 @@ def _pretrain_step(enc, images, captions, opt, opt_tau):
     """One contrastive SGD step on the paired `images` and `captions`;
     returns its loss as a float.
 
-    The step's graph is local to this call, so it is freed before the next
-    step's forward is built rather than living through it."""
+    `ad.backward` consumes the step's graph, freeing each op's saved arrays
+    as it passes the op, so the clip and both SGD steps run beside the leaf
+    gradients only; the backward peaks below the forward's own peak. The
+    graph is local to this call, so what is left of it is freed before the
+    next step's forward is built."""
     log_tau = enc.weights["log_tau"]
     img = enc.encode_image(images)
     txt = enc.encode_text(captions)

@@ -125,8 +125,12 @@ def test_backward_accumulates_across_calls():
     x = Tensor([1.0, 2.0], requires_grad=True)
     loss = x.sum()
     backward(loss)
-    backward(loss)
-    assert np.array_equal(x.grad, [2.0, 2.0])
+    backward((x * 3.0).sum())
+    assert np.array_equal(x.grad, [4.0, 4.0])
+    # the swept graph is refused, not added again
+    with pytest.raises(GradError, match="already swept"):
+        backward(loss)
+    assert np.array_equal(x.grad, [4.0, 4.0])
 
 
 def test_shared_gradient_arrays_are_never_written_in_place():
@@ -138,12 +142,14 @@ def test_shared_gradient_arrays_are_never_written_in_place():
     backward(loss)
     # add hands both leaves the one array it was given
     assert np.shares_memory(a.grad, b.grad)
-    backward(loss)
+    with pytest.raises(GradError, match="already swept"):
+        backward(loss)
+    backward((a + b).sum())
     assert np.array_equal(a.grad, [2.0, 2.0]) and np.array_equal(b.grad, [2.0, 2.0])
 
     a.zero_grad()
     b.zero_grad()
-    backward(loss)
+    backward((a + b).sum())
     assert np.shares_memory(a.grad, b.grad)
     # global norm 2 clipped to 1: each leaf's gradient is halved once, not twice
     _clip_global_norm([a, b], 1.0)
@@ -180,24 +186,64 @@ def _graph_nodes(loss):
     return nodes
 
 
-def test_backward_keeps_only_leaf_gradients_and_the_graph():
+def test_backward_keeps_only_leaf_gradients_and_consumes_the_graph():
     rng = np.random.default_rng(13)
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    h = ad.gelu(ad.matmul(x, w))
-    loss = (h * h).sum() + h.sum()  # h has two consumers
+
+    def forward():
+        h = ad.gelu(ad.matmul(x, w))
+        return (h * h).sum() + h.sum()  # h has two consumers
+
+    loss = forward()
     backward(loss)
     nodes = _graph_nodes(loss)
     interior = [n for n in nodes if n._parents]
     leaves = [n for n in nodes if not n._parents and n.requires_grad]
     assert len(interior) == 6 and all(n.grad is None for n in interior)
+    assert all(n._backward is None for n in interior)
     assert {id(n) for n in leaves} == {id(x), id(w)}
     assert all(n.grad is not None for n in leaves)
-    # the graph survives the sweep: a second one adds the same gradients
+    # the sweep consumed the graph: it is refused, and a new one adds the
+    # same gradients
     first = [x.grad.copy(), w.grad.copy()]
-    backward(loss)
+    with pytest.raises(GradError, match="already swept"):
+        backward(loss)
+    backward(forward())
     assert np.array_equal(x.grad, 2 * first[0]) and np.array_equal(w.grad, 2 * first[1])
     assert all(n.grad is None for n in interior)
+
+
+def test_a_swept_graph_is_refused_before_any_gradient_moves():
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+    h = ad.gelu(ad.matmul(x, w, bias=b))
+    loss = (h * h).sum()
+    backward(loss)
+    grads = [x.grad, w.grad, b.grad]
+    # the same loss again, and a new loss over a tensor of the swept graph
+    for again in (loss, (h * 2.0).sum() + (x * x).sum()):
+        with pytest.raises(GradError, match="already swept"):
+            backward(again)
+        assert all(t.grad is g for t, g in zip((x, w, b), grads))
+
+
+def test_a_sweep_frees_the_arrays_its_backwards_kept():
+    rng = np.random.default_rng(16)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    h = ad.gelu(x)  # keeps its derivative
+    s = ad.softmax(h)  # keeps its output
+    loss = (s * Tensor(rng.normal(size=(3, 4)))).sum()
+    saved = [weakref.ref(cell.cell_contents) for t in (h, s) for cell in t._backward.__closure__
+             if isinstance(cell.cell_contents, np.ndarray)]
+    del h, s
+    assert len(saved) == 2 and all(ref() is not None for ref in saved)
+    backward(loss)
+    # the caller still holds the loss, and with it the graph's nodes
+    assert loss._node is not None
+    assert all(ref() is None for ref in saved)
 
 
 def test_an_array_no_backward_reads_is_freed_with_its_tensor():
@@ -236,11 +282,16 @@ def test_a_sweep_that_raised_leaves_no_stale_gradient():
     f = ad._from_op(x.data * 3.0, (x,), flaky_bw)
     loss = (y + f).sum()
     # the sweep hands y its gradient, then raises at f before reaching y
-    with pytest.raises(GradError):
+    with pytest.raises(GradError, match="misshapen"):
         backward(loss)
     assert x.grad is None and y.grad is not None
-    backward(loss)
-    assert np.array_equal(x.grad, [5.0, 5.0]) and y.grad is None
+    # the sweep consumed the nodes it reached, so the graph is refused
+    with pytest.raises(GradError, match="already swept"):
+        backward(loss)
+    assert x.grad is None
+    # a new graph over y, which the sweep never reached, starts it from no gradient
+    backward((y * 1.0).sum())
+    assert np.array_equal(x.grad, [2.0, 2.0]) and y.grad is None
 
 
 def test_gelu_is_bitwise_the_unfolded_erf_formula():

@@ -397,6 +397,24 @@ def _edit_json(path, edit):
     path.write_text(json.dumps(obj))
 
 
+def _to_directory(path):
+    """Replace the file at `path` with an empty directory."""
+    path.unlink()
+    path.mkdir()
+
+
+def _tensor_is_a_directory(ft, bb, ds):
+    _to_directory(next((ft / "tuned").glob("*.bin")))
+
+
+def _finetune_config_is_a_directory(ft, bb, ds):
+    _to_directory(ft / "config.json")
+
+
+def _images_is_a_directory(ft, bb, ds):
+    _to_directory(ds / "images.bin")
+
+
 def _edit_finetune_lambda(ft, bb, ds):
     _edit_json(ft / "config.json", lambda m: m["train"].update({"lambda": 99.0}))
 
@@ -466,11 +484,15 @@ def _grow_dataset_split(ft, bb, ds):
     (_append_to_images, "bytes"),
     (_grow_dataset_split, "records"),
     (_images_format_1, "version 1"),
+    (_tensor_is_a_directory, "not a regular file"),
+    (_finetune_config_is_a_directory, "not a regular file"),
+    (_images_is_a_directory, "not a regular file"),
 ], ids=["tensor_byte_flip", "finetune_config_edit", "finetune_hint_edit",
         "backbone_manifest_edit",
         "tensor_shape_edit", "backbone_manifest_not_object", "finetune_config_not_object",
         "finetune_tensors_not_object", "finetune_config_truncated", "images_truncated", "images_trailing_bytes",
-        "dataset_split_edit", "images_format_1"])
+        "dataset_split_edit", "images_format_1", "tensor_is_a_directory",
+        "finetune_config_is_a_directory", "images_is_a_directory"])
 def test_corrupted_checkpoint_refuses_to_run(rig, tmp_path, capsys, corrupt, message):
     root, suite_dir, bb_dir = rig
     bb, ds, ft_dir = tmp_path / "bb", tmp_path / "ds", tmp_path / "ft"
@@ -554,6 +576,10 @@ def _command_config(command, bb_dir, ds, out):
             "sweep": dict(runs, axis="lambda", values=[1.0])}[command]
 
 
+def _manifest(edit):
+    return lambda ds, cfg: _edit_json(ds / "manifest.json", edit)
+
+
 def _drop_manifest_noise(m):
     del m["noise"]
 
@@ -570,7 +596,7 @@ def _manifest_class_ids_swapped(m):
     m["classes"][0]["id"], m["classes"][1]["id"] = 1, 0
 
 
-@pytest.mark.parametrize("command, overrides, manifest_edit, named", [
+@pytest.mark.parametrize("command, overrides, corrupt, named", [
     ("finetune", ["train.lr=abc"], None, "train.lr"),
     ("finetune", ["train.shots=2.5"], None, "train.shots"),
     ("finetune", ["train.consistency=5"], None, "consistency config"),
@@ -585,8 +611,8 @@ def _manifest_class_ids_swapped(m):
     ("ablate", ["seeds=5"], None, "seeds"),
     ("ablate", ["train=[1]"], None, "train"),
     ("sweep", ["values=5"], None, "values"),
-    ("finetune", [], _drop_manifest_noise, "noise"),
-    ("finetune", [], _manifest_split_train_as_string, "split.train"),
+    ("finetune", [], _manifest(_drop_manifest_noise), "noise"),
+    ("finetune", [], _manifest(_manifest_split_train_as_string), "split.train"),
     ("pretrain", ["encoder.text_len=8"], None, "text_len"),
     ("finetune", ["train.prompt_m=12"], None, "text_len"),
     ("gen-data", ["source_counts=[-1,2,3]"], None, "source_counts"),
@@ -594,10 +620,13 @@ def _manifest_class_ids_swapped(m):
     ("gen-data", ["source_counts=[1,2]"], None, "source_counts"),
     ("gen-data", ["target_counts=[4,-1,2]"], None, "target_counts"),
     ("gen-data", ["noise=-1"], None, "noise"),
-    ("finetune", [], _manifest_base_id_99, "[99]"),
-    ("eval", [], _manifest_base_id_99, "[99]"),
-    ("finetune", [], _manifest_class_ids_swapped, "has id 1"),
-    ("eval", [], _manifest_class_ids_swapped, "has id 1"),
+    ("finetune", [], _manifest(_manifest_base_id_99), "[99]"),
+    ("eval", [], _manifest(_manifest_base_id_99), "[99]"),
+    ("finetune", [], _manifest(_manifest_class_ids_swapped), "has id 1"),
+    ("eval", [], _manifest(_manifest_class_ids_swapped), "has id 1"),
+    ("finetune", [], lambda ds, cfg: _to_directory(cfg), "c.json"),
+    ("eval", [], lambda ds, cfg: _to_directory(ds / "manifest.json"), "ds/manifest.json"),
+    ("finetune", [], lambda ds, cfg: _to_directory(ds / "images.bin"), "ds/images.bin"),
 ], ids=["train_lr_string", "train_shots_float", "train_consistency_int", "train_int",
         "override_inside_train_int", "train_lambda_bool", "gen_data_source_counts_int",
         "eval_targets_int", "eval_variants_int", "eval_targets_empty",
@@ -607,18 +636,20 @@ def _manifest_class_ids_swapped(m):
         "gen_data_negative_count", "gen_data_no_image_per_class", "gen_data_two_counts",
         "gen_data_negative_target_count", "gen_data_negative_noise",
         "finetune_base_id_out_of_range", "eval_base_id_out_of_range",
-        "finetune_class_id_not_its_position", "eval_class_id_not_its_position"])
+        "finetune_class_id_not_its_position", "eval_class_id_not_its_position",
+        "config_is_a_directory", "manifest_is_a_directory", "images_is_a_directory"])
 def test_malformed_input_exits_2(rig, tmp_path, capsys, command, overrides,
-                                 manifest_edit, named):
-    """Every unknown, missing or wrong-typed config or manifest value exits 2
-    with one `error:` line, before anything is written."""
+                                 corrupt, named):
+    """Every unknown, missing or wrong-typed config or manifest value, and a
+    directory where a file is read, exits 2 with one `error:` line, before
+    anything is written."""
     root, suite_dir, bb_dir = rig
-    ds, out = tmp_path / "ds", tmp_path / "out"
+    ds, out, cfg = tmp_path / "ds", tmp_path / "out", tmp_path / "c.json"
     shutil.copytree(suite_dir / "fields_a", ds)
-    if manifest_edit is not None:
-        _edit_json(ds / "manifest.json", manifest_edit)
-    cfg = _command_config(command, bb_dir, ds, out)
-    argv = [command, "--config", _write(tmp_path / "c.json", cfg)]
+    _write(cfg, _command_config(command, bb_dir, ds, out))
+    if corrupt is not None:
+        corrupt(ds, cfg)
+    argv = [command, "--config", str(cfg)]
     for override in overrides:
         argv += ["--override", override]
     capsys.readouterr()

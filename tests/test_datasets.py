@@ -75,6 +75,13 @@ def _delete(name):
     return lambda directory: (directory / name).unlink()
 
 
+def _to_directory(name):
+    def apply(directory):
+        (directory / name).unlink()
+        (directory / name).mkdir()
+    return apply
+
+
 def _edit_manifest(edit):
     def apply(directory):
         manifest = json.loads((directory / "manifest.json").read_text())
@@ -103,10 +110,12 @@ def _swap_class_ids(m):
     (_edit_split(train=-1, val=2), "manifest.json", "'train' must be >= 0"),
     (_edit_split(train=0, test=0), "manifest.json", "no image per class"),
     (_edit_manifest(lambda m: m.update(noise=-1)), "manifest.json", "'noise' must be >= 0"),
+    (_to_directory("manifest.json"), "manifest.json", "not a regular file"),
+    (_to_directory("images.bin"), "images.bin", "not a regular file"),
 ], ids=["no_manifest", "manifest_not_json", "manifest_unknown_key", "no_images",
         "images_format_1", "base_id_out_of_range", "novel_id_negative",
         "class_id_not_its_position", "negative_count", "no_image_per_class",
-        "negative_noise"])
+        "negative_noise", "manifest_is_a_directory", "images_is_a_directory"])
 def test_load_refuses_a_bad_directory_with_one_error_type(tmp_path, corrupt, name, message):
     """Every refusal is a `DatasetError` that names the bad file once."""
     directory = tmp_path / "ds"

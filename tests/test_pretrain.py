@@ -101,6 +101,35 @@ def test_pretrain_steps_do_not_hold_each_others_graphs(tmp_path):
     assert peak(3) <= 1.1 * peak(1)
 
 
+def test_backward_peak_is_the_memory_its_graph_holds(tmp_path):
+    """The sweep frees each op's saved arrays as it passes the op, so a
+    contrastive loss's backward peaks within 5% of what its graph holds
+    when the sweep starts, although the leaf gradients are new."""
+    manifest = build_family_manifest("mem32", ("crimson", "azure"), seed=5,
+                                     split_counts=(4, 0, 0), base_count=8)
+    tok = Tokenizer.from_manifests([manifest])
+    split = build_pretrain_split([generate_dataset(manifest, str(tmp_path / "mem32"))],
+                                 tok, 16)
+    assert len(split.images) == 32
+    enc = DualEncoder(EncoderConfig(layers=2, width=32, heads=2, embed_dim=16), tok, seed=0)
+    labels = np.arange(32)
+    tracemalloc.start()
+    try:
+        img = enc.encode_image(split.images)
+        txt = enc.encode_text([split.captions[c % 8][0] for c in labels])
+        logits = ad.matmul(img, ad.transpose(txt, (1, 0))) / ad.exp(enc.weights["log_tau"])
+        loss = 0.5 * (ad.cross_entropy_from_logits(logits, labels)
+                      + ad.cross_entropy_from_logits(ad.transpose(logits, (1, 0)), labels))
+        del img, txt, logits
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * held
+
+
 # -- session backbone (CLI-default pre-training) --------------------------------
 
 
