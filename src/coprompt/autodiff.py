@@ -5,9 +5,11 @@ backed by numpy, gradients are exact enough to survive finite-difference
 checks at 1e-6 relative error, and graph recording is skipped entirely
 when no input requires gradients (so frozen/eval passes allocate nothing).
 
-A recorded op's output `Tensor` holds its `data` and points to a `_Node`,
-its vertex in the graph. A leaf (a tensor created with `requires_grad=True`)
-is its own vertex; a constant is no vertex and the graph does not keep it.
+A `Tensor` is its `data`, a `requires_grad` flag, a `grad` slot and a
+pointer to its `_Node`. A recorded op's output points to a `_Node`, its
+vertex in the graph. A leaf (a tensor created with `requires_grad=True`) is
+its own vertex and keeps its gradient in `.grad`; a constant is no vertex
+and the graph does not keep it.
 Each op's backward keeps only the arrays it reads:
 - `matmul`, `mul` and `div` keep an operand's data only if the other operand
   requires grad (`div` keeps its divisor whenever it is recorded);
@@ -21,8 +23,9 @@ a backward reads it. Which operands need a gradient is settled when an op is
 recorded: flipping a leaf's `requires_grad` between recording and `backward`
 is not supported.
 
-`backward` leaves a gradient only on leaves; an interior node's gradient is
-released as soon as its own backward has used it. A sweep consumes its
+`backward` leaves a gradient only in a leaf's `.grad`. An interior tensor's
+gradient lives on its node, which releases it as soon as the node's own
+backward has used it; the tensor's `.grad` stays None. A sweep consumes its
 graph: it drops each node's backward, and with it the arrays that backward
 kept, as it passes the node. A second sweep of a swept graph, or of a new
 one built on a tensor from it, is refused with `GradError`.
@@ -72,41 +75,19 @@ def no_grad():
 class Tensor:
     """N-dimensional float64 array, optionally tracked by the autodiff graph.
 
-    Treat the ``data`` buffer as immutable once constructed; the only
-    sanctioned mutator is the optimizer, which owns its parameters.
+    ``grad`` is a leaf's gradient; a recorded op's output keeps none there,
+    its gradient lives on its ``_node`` during a sweep. Treat the ``data``
+    buffer as immutable once constructed; the only sanctioned mutator is
+    the optimizer, which owns its parameters.
     """
 
-    __slots__ = ("data", "requires_grad", "_grad", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.array(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self._grad = None
+        self.grad = None
         self._node = None
-
-    # a recorded op's output reads and writes these through its node
-    @property
-    def grad(self):
-        return self._grad if self._node is None else self._node.grad
-
-    @grad.setter
-    def grad(self, g):
-        if self._node is None:
-            self._grad = g
-        else:
-            self._node.grad = g
-
-    @property
-    def _parents(self):
-        return () if self._node is None else self._node._parents
-
-    @property
-    def _backward(self):
-        return None if self._node is None else self._node._backward
-
-    @_backward.setter
-    def _backward(self, fn):
-        self._node._backward = fn
 
     @property
     def shape(self):
@@ -116,15 +97,8 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -133,9 +107,6 @@ class Tensor:
     # operator sugar; scalars and arrays are wrapped as constants
     def __add__(self, other):
         return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
 
     def __sub__(self, other):
         return add(self, neg(_wrap(other)))
@@ -152,15 +123,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _wrap(other))
 
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return slice_(self, idx)
 
@@ -169,12 +131,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 def _wrap(value):
@@ -218,7 +174,7 @@ def _from_op(data, parents, backward):
     global _seq_counter
     out = Tensor.__new__(Tensor)
     out.data = data
-    out._grad = None
+    out.grad = None
     out._node = None
     out.requires_grad = records(parents)
     if out.requires_grad:
@@ -695,8 +651,4 @@ class SGD:
             v *= self.momentum
             v += p.grad
             p.data -= self.lr * v
-            p.grad = None
-
-    def zero_grad(self):
-        for p in self.params:
             p.grad = None

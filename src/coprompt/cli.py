@@ -182,12 +182,26 @@ class PretrainConfig(Record):
     momentum: float = 0.9
     encoder: dict = field(default_factory=dict)  # EncoderConfig keys, echoed as given
 
+    def __post_init__(self):
+        # a batch of one has one logit, so its contrastive loss is exactly 0
+        for key, least in (("epochs", 1), ("batch_size", 2)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{self.what}: {key!r} must be >= {least}, "
+                                  f"got {getattr(self, key)}")
+
 
 def cmd_pretrain(cfg):
     cfg = PretrainConfig.from_dict(cfg)
     _require_out(cfg.out)
     enc_config = EncoderConfig.from_dict(cfg.encoder, "encoder.")
     datasets = [Dataset.load(_require_dir(p, "dataset")) for p in cfg.datasets]
+    for d in datasets:
+        m = d.manifest
+        if (m.image_size, m.channels) != (enc_config.image_size, enc_config.channels):
+            raise ConfigError(
+                f"dataset {d.directory} has image_size {m.image_size} and channels "
+                f"{m.channels}, but encoder.image_size and encoder.channels are "
+                f"{enc_config.image_size} and {enc_config.channels}")
     tokenizer = Tokenizer.from_manifests([d.manifest for d in datasets])
     split = build_pretrain_split(datasets, tokenizer, enc_config.text_len)
 

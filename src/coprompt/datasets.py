@@ -129,6 +129,9 @@ class DatasetManifest(Record):
                 raise DatasetError(f"class {c.name!r} has no descriptions")
         if self.noise < 0:
             raise DatasetError(f"{self.what}: 'noise' must be >= 0, got {self.noise}")
+        if self.format_version != FORMAT_VERSION:
+            raise DatasetError(f"{self.what}: 'format_version' is {self.format_version}, not "
+                               f"{FORMAT_VERSION}; re-run gen-data to rewrite it")
 
     @property
     def class_names(self):

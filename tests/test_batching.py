@@ -89,7 +89,7 @@ def test_batched_loss_gradients_match_per_example(prompts, adapters):
 
     def grads(loss):
         for p in params:
-            p.zero_grad()
+            p.grad = None
         ad.backward(loss)
         return [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 

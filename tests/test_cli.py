@@ -596,6 +596,10 @@ def _manifest_class_ids_swapped(m):
     m["classes"][0]["id"], m["classes"][1]["id"] = 1, 0
 
 
+def _manifest_format_version_7(m):
+    m["format_version"] = 7
+
+
 @pytest.mark.parametrize("command, overrides, corrupt, named", [
     ("finetune", ["train.lr=abc"], None, "train.lr"),
     ("finetune", ["train.shots=2.5"], None, "train.shots"),
@@ -627,6 +631,16 @@ def _manifest_class_ids_swapped(m):
     ("finetune", [], lambda ds, cfg: _to_directory(cfg), "c.json"),
     ("eval", [], lambda ds, cfg: _to_directory(ds / "manifest.json"), "ds/manifest.json"),
     ("finetune", [], lambda ds, cfg: _to_directory(ds / "images.bin"), "ds/images.bin"),
+    ("pretrain", ["encoder.heads=0"], None, "'heads'"),
+    ("pretrain", ["encoder.patch_grid=0"], None, "'patch_grid'"),
+    ("pretrain", ["encoder.layers=0"], None, "'layers'"),
+    ("pretrain", ["encoder.embed_dim=0"], None, "'embed_dim'"),
+    ("pretrain", ["encoder.image_size=16"], None, "ds has image_size 32"),
+    ("pretrain", ["encoder.channels=1"], None, "ds has image_size 32 and channels 3"),
+    ("pretrain", ["epochs=0"], None, "'epochs'"),
+    ("pretrain", ["batch_size=1"], None, "'batch_size'"),
+    ("finetune", [], _manifest(_manifest_format_version_7), "'format_version' is 7"),
+    ("eval", [], _manifest(_manifest_format_version_7), "'format_version' is 7"),
 ], ids=["train_lr_string", "train_shots_float", "train_consistency_int", "train_int",
         "override_inside_train_int", "train_lambda_bool", "gen_data_source_counts_int",
         "eval_targets_int", "eval_variants_int", "eval_targets_empty",
@@ -637,7 +651,11 @@ def _manifest_class_ids_swapped(m):
         "gen_data_negative_target_count", "gen_data_negative_noise",
         "finetune_base_id_out_of_range", "eval_base_id_out_of_range",
         "finetune_class_id_not_its_position", "eval_class_id_not_its_position",
-        "config_is_a_directory", "manifest_is_a_directory", "images_is_a_directory"])
+        "config_is_a_directory", "manifest_is_a_directory", "images_is_a_directory",
+        "encoder_heads_0", "encoder_patch_grid_0", "encoder_layers_0", "encoder_embed_dim_0",
+        "encoder_image_size_not_the_datasets", "encoder_channels_not_the_datasets",
+        "pretrain_epochs_0", "pretrain_batch_size_1", "finetune_manifest_format_version_7",
+        "eval_manifest_format_version_7"])
 def test_malformed_input_exits_2(rig, tmp_path, capsys, command, overrides,
                                  corrupt, named):
     """Every unknown, missing or wrong-typed config or manifest value, and a

@@ -112,10 +112,13 @@ def _swap_class_ids(m):
     (_edit_manifest(lambda m: m.update(noise=-1)), "manifest.json", "'noise' must be >= 0"),
     (_to_directory("manifest.json"), "manifest.json", "not a regular file"),
     (_to_directory("images.bin"), "images.bin", "not a regular file"),
+    (_edit_manifest(lambda m: m.update(format_version=7)), "manifest.json",
+     "'format_version' is 7, not 1; re-run gen-data"),
 ], ids=["no_manifest", "manifest_not_json", "manifest_unknown_key", "no_images",
         "images_format_1", "base_id_out_of_range", "novel_id_negative",
         "class_id_not_its_position", "negative_count", "no_image_per_class",
-        "negative_noise", "manifest_is_a_directory", "images_is_a_directory"])
+        "negative_noise", "manifest_is_a_directory", "images_is_a_directory",
+        "manifest_format_7"])
 def test_load_refuses_a_bad_directory_with_one_error_type(tmp_path, corrupt, name, message):
     """Every refusal is a `DatasetError` that names the bad file once."""
     directory = tmp_path / "ds"

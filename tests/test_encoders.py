@@ -182,14 +182,14 @@ def test_clone_frozen_is_deep_and_idempotent(enc):
 def test_frozen_forward_records_no_graph(enc, tok):
     frozen = clone_frozen(enc)
     out = frozen.encode_text([tuple(tok.encode("a photo of dots"))])
-    assert out._parents == ()
+    assert out._node is None
     assert not out.requires_grad
 
 
 def test_trainable_forward_records_graph(tok):
     trainable = DualEncoder(EncoderConfig(), tok, seed=0)
     out = trainable.encode_text([tuple(tok.encode("a photo of dots"))])
-    assert out.requires_grad and out._parents
+    assert out.requires_grad and out._node._parents
 
 
 # -- checkpoints -------------------------------------------------------------------

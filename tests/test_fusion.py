@@ -67,7 +67,7 @@ def _block_run(enc, block, x0, r):
     """Output and every leaf gradient of one block under a fixed functional."""
     x = Tensor(x0, requires_grad=True)
     for t in enc.weights.values():
-        t.zero_grad()
+        t.grad = None
     out = block(enc, "img", 1, x)
     backward((out * Tensor(r)).sum())
     grads = {name: t.grad for name, t in enc.weights.items() if t.grad is not None}

@@ -2,7 +2,9 @@
 configuration collapses, state restore, and loss decomposition."""
 
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,3 +375,14 @@ def test_config_from_dict_strict():
     cfg = TrainConfig.from_dict({"lambda": 2.0, "consistency": {"criterion": "l1"}})
     assert cfg.lambda_ == 2.0 and cfg.consistency.criterion == "l1"
     assert TrainConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+def test_readme_train_config_table_lists_exactly_the_accepted_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Train-config reference", 1)[1].split("\n\n", 2)[1]
+    documented = {key for row in table.splitlines()[2:]
+                  for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    accepted = set()
+    for key, value in TrainConfig().to_dict().items():
+        accepted |= {f"{key}.{sub}" for sub in value} if isinstance(value, dict) else {key}
+    assert documented == accepted
