@@ -75,8 +75,8 @@ def no_grad():
 class Tensor:
     """N-dimensional float64 array, optionally tracked by the autodiff graph.
 
-    ``grad`` is a leaf's gradient; a recorded op's output keeps none there,
-    its gradient lives on its ``_node`` during a sweep. Treat the ``data``
+    ``grad`` is a leaf's gradient. A recorded op's output keeps none; its
+    gradient lives on its ``_node`` during a sweep. Treat the ``data``
     buffer as immutable once constructed; the only sanctioned mutator is
     the optimizer, which owns its parameters.
     """
