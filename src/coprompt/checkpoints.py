@@ -120,10 +120,19 @@ class Record:
     a value whose JSON type does not match the annotation: an int passes
     for a float, a bool never for a number. It recurses into records,
     `list[T]` and `T | None`, naming nested keys by dotted path, and
-    converts nothing: `to_dict` returns what was read plus defaults.
+    converts nothing: `to_dict` returns what was read plus defaults. A
+    `refuse` in `__post_init__` is re-raised, of the same type, naming the
+    key by its dotted path too.
     """
 
     what = "record"
+
+    def refuse(self, key, rule, error=ValueError):
+        """Raise `error`: the value at `key` breaks `rule`, a phrase such as
+        "must be >= 1, got 0"."""
+        e = error(f"{self.what}: {key!r} {rule}")
+        e.key, e.rule = key, rule
+        raise e
 
     def to_dict(self):
         return {key: _dump(getattr(self, f.name)) for key, f, _ in _schema(type(self))}
@@ -142,7 +151,12 @@ class Record:
                 values[f.name] = _load(hint, d[key], path + key, cls.what)
             elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
                 raise ValueError(f"{cls.what} requires {path + key!r}")
-        return cls(**values)
+        try:
+            return cls(**values)
+        except ValueError as e:
+            if not path or not hasattr(e, "key"):
+                raise
+            raise type(e)(f"{cls.what}: {path + e.key!r} {e.rule}") from None
 
 
 @functools.cache

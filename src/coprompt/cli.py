@@ -46,6 +46,7 @@ from .training import (
     NonFiniteLossError,
     TrainConfig,
     check_max_steps,
+    check_sgd,
     finetune,
     load_finetune_checkpoint,
     train_ce,
@@ -127,6 +128,18 @@ def _echo_config(out_dir, resolved):
     write_json(os.path.join(out_dir, "resolved_config.json"), resolved)
 
 
+def _load_dataset(path, encoder):
+    """The dataset in directory `path`, refused unless its images are the
+    shape `encoder` (an `EncoderConfig`) takes."""
+    ds = Dataset.load(_require_dir(path, "dataset"))
+    m = ds.manifest
+    if (m.image_size, m.channels) != (encoder.image_size, encoder.channels):
+        raise ConfigError(f"dataset {path} has image_size {m.image_size} and channels "
+                          f"{m.channels}, but the encoder takes image_size "
+                          f"{encoder.image_size} and channels {encoder.channels}")
+    return ds
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 
@@ -186,22 +199,15 @@ class PretrainConfig(Record):
         # a batch of one has one logit, so its contrastive loss is exactly 0
         for key, least in (("epochs", 1), ("batch_size", 2)):
             if getattr(self, key) < least:
-                raise ConfigError(f"{self.what}: {key!r} must be >= {least}, "
-                                  f"got {getattr(self, key)}")
+                self.refuse(key, f"must be >= {least}, got {getattr(self, key)}", ConfigError)
+        check_sgd(self)
 
 
 def cmd_pretrain(cfg):
     cfg = PretrainConfig.from_dict(cfg)
     _require_out(cfg.out)
     enc_config = EncoderConfig.from_dict(cfg.encoder, "encoder.")
-    datasets = [Dataset.load(_require_dir(p, "dataset")) for p in cfg.datasets]
-    for d in datasets:
-        m = d.manifest
-        if (m.image_size, m.channels) != (enc_config.image_size, enc_config.channels):
-            raise ConfigError(
-                f"dataset {d.directory} has image_size {m.image_size} and channels "
-                f"{m.channels}, but encoder.image_size and encoder.channels are "
-                f"{enc_config.image_size} and {enc_config.channels}")
+    datasets = [_load_dataset(p, enc_config) for p in cfg.datasets]
     tokenizer = Tokenizer.from_manifests([d.manifest for d in datasets])
     split = build_pretrain_split(datasets, tokenizer, enc_config.text_len)
 
@@ -247,15 +253,23 @@ class FinetuneConfig(Record):
     max_steps: int | None = None
 
 
-def cmd_finetune(cfg):
-    cfg = FinetuneConfig.from_dict(cfg)
+def _finetune_run(cfg):
+    """The one fine-tune run behind `finetune` and every ablate or sweep row:
+    trains `cfg` (a `FinetuneConfig`) into `cfg.out`; returns the
+    `FinetuneResult` and the dataset."""
     _require_out(cfg.out)
     max_steps = check_max_steps(cfg.max_steps)
     backbone = load_backbone(_require_dir(cfg.backbone, "backbone"))
-    dataset = Dataset.load(_require_dir(cfg.dataset, "dataset"))
+    dataset = _load_dataset(cfg.dataset, backbone.config)
     split = make_fewshot_split(dataset, cfg.train.shots, cfg.train.seed)
     result = finetune(backbone, cfg.train, split, out_dir=cfg.out, max_steps=max_steps)
     _echo_config(cfg.out, cfg.to_dict())
+    return result, dataset
+
+
+def cmd_finetune(raw):
+    cfg = FinetuneConfig.from_dict(raw)
+    result, _ = _finetune_run(cfg)
     print(f"finetune checkpoint {result.content_hash[:12]} written to {cfg.out} "
           f"(final ce {result.metrics['final_train_ce']:.4f})")
     return 0
@@ -311,10 +325,11 @@ def cmd_eval(raw):
         model, train_cfg, manifest = load_backbone(ckpt), None, None
     else:
         model, train_cfg, manifest = load_finetune_checkpoint(ckpt, backbone_dir=cfg.backbone)
+    encoder = getattr(model, "backbone", model).config
 
     name = "report.json"
     if protocol == "base_to_novel":
-        ds = Dataset.load(_require_dir(_eval_needs(cfg, "dataset"), "dataset"))
+        ds = _load_dataset(_eval_needs(cfg, "dataset"), encoder)
         report = base_to_novel_eval(model, ds)
         line = "base={base_acc:.2f} novel={novel_acc:.2f} hm={hm:.2f}".format(**report)
     elif protocol == "cross_dataset":
@@ -322,16 +337,16 @@ def cmd_eval(raw):
         # mapped at a time: the source, then each target in turn
         dirs = [_require_dir(_eval_needs(cfg, "dataset"), "dataset")]
         dirs += [_require_dir(p, "target dataset") for p in _eval_needs(cfg, "targets")]
-        report = cross_dataset_eval(model, (Dataset.load(p) for p in dirs))
+        report = cross_dataset_eval(model, (_load_dataset(p, encoder) for p in dirs))
         line = f"cross-dataset average={report['average']}"
     elif protocol == "domain_gen":
         variant_dirs = [_require_dir(p, "variant dataset") for p in _eval_needs(cfg, "variants")]
-        report = domain_gen_eval(model, (Dataset.load(p) for p in variant_dirs))
+        report = domain_gen_eval(model, (_load_dataset(p, encoder) for p in variant_dirs))
         line = f"domain-gen average={report['average']}"
     elif protocol == "train_ce":
         if train_cfg is None:
             raise ConfigError("train_ce protocol requires a finetune checkpoint")
-        ds = Dataset.load(_require_dir(_eval_needs(cfg, "dataset"), "dataset"))
+        ds = _load_dataset(_eval_needs(cfg, "dataset"), encoder)
         if ds.content_hash != manifest["dataset_hash"]:
             raise CheckpointError("dataset hash does not match the checkpoint")
         split = make_fewshot_split(ds, train_cfg.shots, train_cfg.seed)
@@ -399,23 +414,14 @@ ABLATE_DEFAULT_AXES = ["components", "criterion", "augmentation",
                        "adapter_layers", "lambda"]
 
 
-def _run_job(payload):
-    """One (row, seed) fine-tune + evaluation; runs in a worker process."""
-    backbone = load_backbone(payload["backbone"])
-    dataset = Dataset.load(payload["dataset"])
-    train = dict(payload["train"])
-    train["seed"] = payload["seed"]
-    cfg = TrainConfig.from_dict(train)
-    split = make_fewshot_split(dataset, cfg.shots, cfg.seed)
-    result = finetune(backbone, cfg, split, out_dir=payload["out"])
+def _run_job(job):
+    """One (axis, row label, `FinetuneConfig`) job: the fine-tune run, then
+    its base-to-novel evaluation; runs in a worker process."""
+    axis, row, cfg = job
+    result, dataset = _finetune_run(cfg)
     report = base_to_novel_eval(result.model, dataset)
-    _echo_config(payload["out"], {
-        "backbone": payload["backbone"], "dataset": payload["dataset"],
-        "train": cfg.to_dict(), "axis": payload["axis"], "row": payload["row"],
-        "seed": payload["seed"],
-    })
     return {
-        "axis": payload["axis"], "row": payload["row"], "seed": payload["seed"],
+        "axis": axis, "row": row, "seed": cfg.train.seed,
         "base": report["base_acc"], "novel": report["novel_acc"], "hm": report["hm"],
         "checkpoint_hash": result.content_hash,
         "text_deviation": result.metrics["text_deviation"],
@@ -425,7 +431,11 @@ def _run_job(payload):
 
 
 def _run_jobs(jobs):
-    workers = max(1, min(int(os.environ.get(THREADS_ENV, "1")), len(jobs)))
+    raw = os.environ.get(THREADS_ENV, "1")
+    workers = int(raw) if raw.strip().isdecimal() else 0
+    if workers < 1:
+        raise ConfigError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
+    workers = min(workers, len(jobs))
     if workers <= 1:
         return [_run_job(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -460,13 +470,10 @@ def _run_axes(bb_dir, ds_dir, out, base_train, seeds, axes):
             if "seed" in train:
                 raise ConfigError('train.seed is set per run by "seeds"; list the seeds '
                                   'there, not in "train" or as a sweep axis')
-            TrainConfig.from_dict(train, "train.")
             for seed in seeds:
-                jobs.append({
-                    "backbone": bb_dir, "dataset": ds_dir, "train": train,
-                    "seed": seed, "axis": axis, "row": label,
-                    "out": os.path.join(rows_dir, f"{label}_seed{seed}"),
-                })
+                jobs.append((axis, label, FinetuneConfig.from_dict({
+                    "backbone": bb_dir, "dataset": ds_dir, "train": dict(train, seed=seed),
+                    "out": os.path.join(rows_dir, f"{label}_seed{seed}")})))
     results = _run_jobs(jobs)
     os.makedirs(out, exist_ok=True)
     for axis, rows, _ in axes:

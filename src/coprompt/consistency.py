@@ -34,13 +34,10 @@ class ConsistencyConfig(Record):
     enabled: bool = True
 
     def __post_init__(self):
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"criterion must be one of {CRITERIA}, got {self.criterion!r}")
-        if self.modality not in MODALITIES:
-            raise ValueError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
-        if self.perturb_image not in IMAGE_MODES:
-            raise ValueError(
-                f"perturb_image must be one of {IMAGE_MODES}, got {self.perturb_image!r}")
+        for key, allowed in (("criterion", CRITERIA), ("modality", MODALITIES),
+                             ("perturb_image", IMAGE_MODES)):
+            if getattr(self, key) not in allowed:
+                self.refuse(key, f"must be one of {allowed}, got {getattr(self, key)!r}")
 
 
 def perturb_text(sentences, rng, descriptive=True):

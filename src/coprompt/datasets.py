@@ -90,7 +90,7 @@ class SplitSpec(Record):
     def __post_init__(self):
         for key in ("train", "val", "test"):
             if getattr(self, key) < 0:
-                raise DatasetError(f"{self.what}: {key!r} must be >= 0, got {getattr(self, key)}")
+                self.refuse(key, f"must be >= 0, got {getattr(self, key)}", DatasetError)
         if self.per_class < 1:
             raise DatasetError(f"{self.what}: 'train', 'val' and 'test' hold no image per class")
 

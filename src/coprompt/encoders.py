@@ -129,7 +129,7 @@ class EncoderConfig(Record):
     def __post_init__(self):
         for key, value in vars(self).items():
             if value < 1:
-                raise ValueError(f"{self.what}: {key!r} must be >= 1, got {value}")
+                self.refuse(key, f"must be >= 1, got {value}")
         if self.width % self.heads != 0:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
         if self.image_size % self.patch_grid != 0:

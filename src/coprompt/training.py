@@ -61,6 +61,15 @@ class NonFiniteLossError(RuntimeError):
     """Training aborted on a NaN/Inf loss; the message names the step."""
 
 
+def check_sgd(cfg):
+    """Refuse a config's `lr` unless it is > 0, and its `momentum` unless it
+    is in [0, 1): the values `SGD` takes."""
+    if not cfg.lr > 0:
+        cfg.refuse("lr", f"must be > 0, got {cfg.lr}")
+    if not 0 <= cfg.momentum < 1:
+        cfg.refuse("momentum", f"must be in [0, 1), got {cfg.momentum}")
+
+
 @dataclass
 class TrainConfig(Record):
     what = "train config"
@@ -79,12 +88,11 @@ class TrainConfig(Record):
     detach_consistency: bool = False
 
     def __post_init__(self):
-        if self.lambda_ < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lambda_}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
+        for key, value, least in (("lambda", self.lambda_, 0), ("shots", self.shots, 1),
+                                  ("batch_size", self.batch_size, 1), ("epochs", self.epochs, 0)):
+            if value < least:
+                self.refuse(key, f"must be >= {least}, got {value}")
+        check_sgd(self)
 
 
 # ---------------------------------------------------------------------------

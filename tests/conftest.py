@@ -7,12 +7,11 @@ import time
 
 import pytest
 
+from coprompt.cli import THREADS_ENV
 from coprompt.cli import main as cli_main
 from coprompt.checkpoints import read_json
-from coprompt.datasets import SOURCE_FAMILY, build_default_suite, make_fewshot_split
+from coprompt.datasets import SOURCE_FAMILY, build_default_suite
 from coprompt.encoders import load_backbone
-from coprompt.evaluation import base_to_novel_eval
-from coprompt.training import TrainConfig, finetune
 
 
 @pytest.fixture(scope="session")
@@ -62,25 +61,43 @@ def pretrain_losses(backbone_dir):
     return rows
 
 
-@pytest.fixture(scope="session")
-def seed_study(backbone, source):
-    """Default config vs lambda=0 over 5 seeds: the artifact's core experiment.
+def _read_history(path):
+    """history.csv rows as the trainer's history dicts."""
+    with open(path) as f:
+        next(f)
+        return [{"step": int(step), "ce": float(ce), "cc": float(cc), "total": float(total)}
+                for step, ce, cc, total in (line.strip().split(",") for line in f)]
 
-    Returns per-run reports, metrics, histories, and the wall-clock time of
-    the whole block (trains + evaluations).
+
+@pytest.fixture(scope="session")
+def seed_study(backbone_dir, source, tmp_path_factory):
+    """Default config vs lambda=0 over 5 seeds: the artifact's core experiment,
+    run as one `coprompt sweep` on two workers.
+
+    Returns per-run reports, metrics and histories read back from the sweep's
+    files, the sweep directory, and the wall-clock time of the sweep (trains
+    + evaluations).
     """
+    root = tmp_path_factory.mktemp("seed_study")
+    out = root / "sweep"
+    cfg_path = root / "sweep_config.json"
+    cfg_path.write_text(json.dumps({
+        "backbone": backbone_dir, "dataset": source.directory, "out": str(out),
+        "axis": "lambda", "values": [8.0, 0.0], "seeds": list(range(5)),
+    }))
     start = time.time()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(THREADS_ENV, "2")
+        assert cli_main(["sweep", "--config", str(cfg_path)]) == 0
+    elapsed = time.time() - start
+
     runs = {"on": [], "off": []}
-    for seed in range(5):
-        for label, lam in (("on", 8.0), ("off", 0.0)):
-            cfg = TrainConfig(lambda_=lam, seed=seed)
-            split = make_fewshot_split(source, cfg.shots, cfg.seed)
-            result = finetune(backbone, cfg, split)
-            report = base_to_novel_eval(result.model, source)
-            runs[label].append({
-                "seed": seed,
-                "report": report,
-                "metrics": result.metrics,
-                "history": result.history,
-            })
-    return {"runs": runs, "elapsed": time.time() - start}
+    for r in read_json(out / "results.json")["results"]:
+        row = out / "rows" / f"{r['row']}_seed{r['seed']}"
+        runs["on" if r["row"] == "8.0" else "off"].append({
+            "seed": r["seed"],
+            "report": {"base_acc": r["base"], "novel_acc": r["novel"], "hm": r["hm"]},
+            "metrics": read_json(row / "metrics.json"),
+            "history": _read_history(row / "history.csv"),
+        })
+    return {"runs": runs, "dir": str(out), "elapsed": elapsed}

@@ -4,6 +4,7 @@ The heavy shared computations (default pre-trained backbone, the 5-seed
 consistency-on/off study) live in session fixtures; see conftest.py.
 """
 
+import os
 import time
 import zlib
 from contextlib import contextmanager
@@ -16,7 +17,14 @@ from coprompt.autodiff import Tensor
 from coprompt.consistency import Augmenter, ConsistencyConfig, consistency_loss, perturb_image
 from coprompt.datasets import make_fewshot_split
 from coprompt.evaluation import cross_dataset_eval, domain_gen_eval, harmonic_mean, predict
-from coprompt.training import TrainConfig, Trainer, finetune, supervised_loss, total_loss
+from coprompt.training import (
+    TrainConfig,
+    Trainer,
+    finetune,
+    load_finetune_checkpoint,
+    supervised_loss,
+    total_loss,
+)
 from coprompt.tuning import PromptSet, apply_adapter, make_adapters, trainable_parameters
 
 from helpers import assert_grads_match, weight_digest
@@ -287,12 +295,11 @@ def test_ablation_runner_structure(backbone_dir, source, tmp_path):
 # -- 9. harness cross-checks --------------------------------------------------------------
 
 
-def test_harness_cross_checks(backbone, suite, source):
+def test_harness_cross_checks(backbone, suite, source, seed_study):
     with criterion("identity-shift exact; all-noise at chance; cross-dataset recomputation"):
-        # a deterministic re-creation of the default study model
-        cfg = TrainConfig(lambda_=8.0, seed=0)
-        split = make_fewshot_split(source, cfg.shots, cfg.seed)
-        tuned = finetune(backbone, cfg, split).model
+        # the default study's seed-0 model, consistency on
+        tuned = load_finetune_checkpoint(os.path.join(seed_study["dir"], "rows", "8.0_seed0"),
+                                         backbone=backbone)[0]
 
         table = domain_gen_eval(tuned, [source, suite["fields_a-identity"],
                                         suite["fields_a-noise"]])

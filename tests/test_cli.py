@@ -600,6 +600,16 @@ def _manifest_format_version_7(m):
     m["format_version"] = 7
 
 
+def _backbone_of_image_size_16(ds, cfg):
+    """Point the config at a random backbone that takes 16-pixel images."""
+    bb = ds.parent / "bb16"
+    tokenizer = Tokenizer.from_manifests([Dataset.load(str(ds)).manifest])
+    save_backbone(str(bb), DualEncoder(EncoderConfig(image_size=16), tokenizer, seed=0,
+                                       frozen=True))
+    _edit_json(cfg, lambda c: c.update({"checkpoint" if "checkpoint" in c else "backbone":
+                                        str(bb)}))
+
+
 @pytest.mark.parametrize("command, overrides, corrupt, named", [
     ("finetune", ["train.lr=abc"], None, "train.lr"),
     ("finetune", ["train.shots=2.5"], None, "train.shots"),
@@ -631,16 +641,24 @@ def _manifest_format_version_7(m):
     ("finetune", [], lambda ds, cfg: _to_directory(cfg), "c.json"),
     ("eval", [], lambda ds, cfg: _to_directory(ds / "manifest.json"), "ds/manifest.json"),
     ("finetune", [], lambda ds, cfg: _to_directory(ds / "images.bin"), "ds/images.bin"),
-    ("pretrain", ["encoder.heads=0"], None, "'heads'"),
-    ("pretrain", ["encoder.patch_grid=0"], None, "'patch_grid'"),
-    ("pretrain", ["encoder.layers=0"], None, "'layers'"),
-    ("pretrain", ["encoder.embed_dim=0"], None, "'embed_dim'"),
+    ("pretrain", ["encoder.heads=0"], None, "'encoder.heads'"),
+    ("pretrain", ["encoder.patch_grid=0"], None, "'encoder.patch_grid'"),
+    ("pretrain", ["encoder.layers=0"], None, "'encoder.layers'"),
+    ("pretrain", ["encoder.embed_dim=0"], None, "'encoder.embed_dim'"),
     ("pretrain", ["encoder.image_size=16"], None, "ds has image_size 32"),
     ("pretrain", ["encoder.channels=1"], None, "ds has image_size 32 and channels 3"),
     ("pretrain", ["epochs=0"], None, "'epochs'"),
     ("pretrain", ["batch_size=1"], None, "'batch_size'"),
     ("finetune", [], _manifest(_manifest_format_version_7), "'format_version' is 7"),
     ("eval", [], _manifest(_manifest_format_version_7), "'format_version' is 7"),
+    ("finetune", [], _backbone_of_image_size_16, "ds has image_size 32"),
+    ("eval", [], _backbone_of_image_size_16, "ds has image_size 32"),
+    ("finetune", ["train.shots=0"], None, "'train.shots'"),
+    ("finetune", ["train.lr=-1"], None, "'train.lr'"),
+    ("finetune", ["train.momentum=5"], None, "'train.momentum'"),
+    ("pretrain", ["lr=0"], None, "'lr'"),
+    ("sweep", [], {"COPROMPT_THREADS": "abc"}, "COPROMPT_THREADS"),
+    ("sweep", [], {"COPROMPT_THREADS": "0"}, "COPROMPT_THREADS"),
 ], ids=["train_lr_string", "train_shots_float", "train_consistency_int", "train_int",
         "override_inside_train_int", "train_lambda_bool", "gen_data_source_counts_int",
         "eval_targets_int", "eval_variants_int", "eval_targets_empty",
@@ -655,17 +673,24 @@ def _manifest_format_version_7(m):
         "encoder_heads_0", "encoder_patch_grid_0", "encoder_layers_0", "encoder_embed_dim_0",
         "encoder_image_size_not_the_datasets", "encoder_channels_not_the_datasets",
         "pretrain_epochs_0", "pretrain_batch_size_1", "finetune_manifest_format_version_7",
-        "eval_manifest_format_version_7"])
-def test_malformed_input_exits_2(rig, tmp_path, capsys, command, overrides,
+        "eval_manifest_format_version_7", "finetune_backbone_of_another_image_size",
+        "eval_backbone_of_another_image_size", "train_shots_0", "train_lr_negative",
+        "train_momentum_5", "pretrain_lr_0", "threads_env_not_an_integer", "threads_env_0"])
+def test_malformed_input_exits_2(rig, tmp_path, capsys, monkeypatch, command, overrides,
                                  corrupt, named):
-    """Every unknown, missing or wrong-typed config or manifest value, and a
-    directory where a file is read, exits 2 with one `error:` line, before
-    anything is written."""
+    """Every unknown, missing, wrong-typed or out-of-range config, manifest
+    or environment value, a dataset of another image shape than the
+    backbone's, and a directory where a file is read, exits 2 with one
+    `error:` line, before anything is written. A dict `corrupt` sets
+    environment variables."""
     root, suite_dir, bb_dir = rig
     ds, out, cfg = tmp_path / "ds", tmp_path / "out", tmp_path / "c.json"
     shutil.copytree(suite_dir / "fields_a", ds)
     _write(cfg, _command_config(command, bb_dir, ds, out))
-    if corrupt is not None:
+    if isinstance(corrupt, dict):
+        for name, value in corrupt.items():
+            monkeypatch.setenv(name, value)
+    elif corrupt is not None:
         corrupt(ds, cfg)
     argv = [command, "--config", str(cfg)]
     for override in overrides:
@@ -903,6 +928,24 @@ def test_ablate_all_off_row_matches_standalone_baseline(rig, tmp_path):
     assert main(["finetune", "--config", f]) == 0
     standalone_hash = read_json(ft_dir / "config.json")["content_hash"]
     assert baseline_hash == standalone_hash
+
+
+def test_sweep_row_replays_through_finetune(rig, tmp_path):
+    """A sweep row's resolved_config.json is a finetune config: run by
+    `finetune` into a new directory, it writes the row's checkpoint."""
+    root, suite_dir, bb_dir = rig
+    out = tmp_path / "sweep"
+    cfg = _write(tmp_path / "s.json", {
+        "backbone": str(bb_dir), "dataset": str(suite_dir / "fields_a"),
+        "out": str(out), "axis": "lambda", "values": [8.0], "seeds": [1],
+        "train": TINY_TRAIN})
+    assert main(["sweep", "--config", cfg]) == 0
+    row = out / "rows" / "8.0_seed1"
+    assert main(["finetune", "--config", str(row / "resolved_config.json"),
+                 "--override", f"out={tmp_path / 'replay'}"]) == 0
+    replayed = read_json(tmp_path / "replay" / "config.json")["content_hash"]
+    assert replayed == read_json(row / "config.json")["content_hash"]
+    assert replayed == read_json(out / "results.json")["results"][0]["checkpoint_hash"]
 
 
 def test_sweep_lambda_axis(rig, tmp_path):

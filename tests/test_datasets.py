@@ -107,7 +107,7 @@ def _swap_class_ids(m):
     (_edit_split(base=[0, 99]), "manifest.json", r"split class ids \[99\]"),
     (_edit_split(novel=[-1]), "manifest.json", r"split class ids \[-1\]"),
     (_edit_manifest(_swap_class_ids), "manifest.json", "at position 0 has id 1"),
-    (_edit_split(train=-1, val=2), "manifest.json", "'train' must be >= 0"),
+    (_edit_split(train=-1, val=2), "manifest.json", "'split.train' must be >= 0"),
     (_edit_split(train=0, test=0), "manifest.json", "no image per class"),
     (_edit_manifest(lambda m: m.update(noise=-1)), "manifest.json", "'noise' must be >= 0"),
     (_to_directory("manifest.json"), "manifest.json", "not a regular file"),
