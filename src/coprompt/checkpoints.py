@@ -154,7 +154,7 @@ class Record:
         try:
             return cls(**values)
         except ValueError as e:
-            if not path or not hasattr(e, "key"):
+            if not hasattr(e, "key"):
                 raise
             raise type(e)(f"{cls.what}: {path + e.key!r} {e.rule}") from None
 
