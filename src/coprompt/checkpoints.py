@@ -1,17 +1,17 @@
 """Tensor files, content hashing, and the one checkpoint writer/reader.
 
 A tensor file is a bare little-endian payload, `<name>.bin`; its shape
-comes from the manifest and the loader, its dtype from the caller.
+comes from the manifest and the loader, its dtype from `LAYOUTS`.
 Checkpoints narrow to float32 on save (the narrowing is deliberate and
 lossy); mid-run training state uses float64 so a restored run continues
 bit-for-bit.
 
-A checkpoint is a directory of tensor files plus a JSON manifest: the
-caller's metadata (with its `kind` and `format_version`), each tensor's
-shape and sha256, and a content hash over the metadata, less the paths
-under `HINT`, and the tensor hashes. `read_checkpoint` verifies all of it,
-and every shape against the one the loader expects, before handing
-anything back.
+A checkpoint is a directory of tensor files plus a JSON manifest, laid out
+by its `kind` (`LAYOUTS`): the caller's metadata (with its `kind` and
+`format_version`), each tensor's shape and sha256, and a content hash over
+the metadata, less the paths under `HINT`, and the tensor hashes.
+`read_checkpoint` verifies the manifest, and its loader every tensor name,
+shape and payload, before handing anything back.
 
 Every config and manifest is a `Record`: a dataclass read from and written
 to a JSON object through its own fields and annotations.
@@ -38,6 +38,10 @@ _DTYPES = {"f32": "<f4", "f64": "<f8"}
 
 FORMAT_VERSION = 2  # the only one `read_checkpoint` accepts
 HINT = "hint"  # metadata key outside the content hash: paths, not content
+
+# kind -> (manifest file, tensor sub-directory, tensor dtype)
+LAYOUTS = {"backbone": ("manifest.json", "", "f32"), "finetune": ("config.json", "tuned", "f32"),
+           "train_state": ("state.json", "", "f64")}
 
 
 def canonical_json(obj):
@@ -89,8 +93,9 @@ def content_hash(meta: dict, tensor_hashes: dict) -> str:
 
 
 def checkpoint_hash(meta, tensors):
-    """`write_checkpoint`'s content hash for `meta` and float32 `tensors`, unwritten."""
-    return content_hash(meta, {name: sha256_hex(_payload(a, "f32")) for name, a in tensors})
+    """`write_checkpoint`'s content hash for `meta` and `tensors`, unwritten."""
+    dtype = LAYOUTS[meta["kind"]][2]
+    return content_hash(meta, {name: sha256_hex(_payload(a, dtype)) for name, a in tensors})
 
 
 def write_json(path, obj):
@@ -192,13 +197,19 @@ def _dump(value):
     return [_dump(v) for v in value] if isinstance(value, list) else value
 
 
-def write_checkpoint(directory, meta, tensors, manifest="manifest.json", subdir="",
-                     dtype="f32"):
-    """Write `(name, array)` tensors under `directory/subdir` and the manifest
-    `meta` + per-tensor shape and sha256 + content hash; returns the hash.
-    The manifest goes last and whole, so a write cut short leaves either no
-    manifest or the old one, whose hashes the new tensors fail: both are
-    refused by `read_checkpoint`."""
+def checkpoint_kind(directory):
+    """The first kind in `LAYOUTS` whose manifest file is in `directory`, or None."""
+    return next((kind for kind, (manifest, _, _) in LAYOUTS.items()
+                 if os.path.exists(os.path.join(directory, manifest))), None)
+
+
+def write_checkpoint(directory, meta, tensors):
+    """Write `(name, array)` tensors and the manifest `meta` + per-tensor
+    shape and sha256 + content hash where `meta["kind"]`'s layout puts them;
+    returns the hash. The manifest goes last and whole, so a write cut short
+    leaves either no manifest or the old one, whose hashes the new tensors
+    fail: both are refused by `read_checkpoint`."""
+    manifest, subdir, dtype = LAYOUTS[meta["kind"]]
     tensor_dir = os.path.join(directory, subdir)
     os.makedirs(tensor_dir, exist_ok=True)
     entries = {}
@@ -210,21 +221,21 @@ def write_checkpoint(directory, meta, tensors, manifest="manifest.json", subdir=
     return chash
 
 
-def read_checkpoint(directory, kind, shapes_of, manifest="manifest.json", subdir="",
-                    dtype="f32"):
-    """Read back a `write_checkpoint` directory as (manifest, {name: float64 array}).
+def read_checkpoint(directory, kind):
+    """Read back a `write_checkpoint` directory of `kind` as (manifest, load).
 
-    `shapes_of(manifest)` returns {name: shape} of the tensors the caller
-    expects; it is called only once the manifest is verified, so a caller
-    may build what it loads into from the manifest there. Refuses
-    (CheckpointError), in this order: a manifest, or its `tensors` value,
-    that is not a JSON object; a manifest of another `kind`; a
+    The manifest is verified first; `load({name: shape})`, given the
+    tensors the caller expects, then returns {name: float64 array}, so a
+    caller may build what it loads into from the manifest in between.
+    Refuses (CheckpointError), in this order: a manifest, or its `tensors`
+    value, that is not a JSON object; a manifest of another `kind`; a
     `format_version` other than `FORMAT_VERSION`; a content hash that does
-    not match every other manifest key but `HINT` plus the tensor hashes; a
-    tensor name missing from, or not in, the expected names; a manifest
-    shape other than the expected one; a payload whose hash or size differs
-    from its manifest entry.
+    not match every other manifest key but `HINT` plus the tensor hashes;
+    then, in `load`, a tensor name missing from, or not in, the expected
+    names; a manifest shape other than the expected one; a payload whose
+    hash or size differs from its manifest entry.
     """
+    manifest, subdir, dtype = LAYOUTS[kind]
     m = read_json(os.path.join(directory, manifest))
     if not isinstance(m, dict) or not isinstance(m.get("tensors", {}), dict):
         raise CheckpointError(f"{manifest} in {directory}, or its tensors, is not a JSON object")
@@ -242,16 +253,17 @@ def read_checkpoint(directory, kind, shapes_of, manifest="manifest.json", subdir
     meta = {k: v for k, v in m.items() if k not in ("tensors", "content_hash")}
     if content_hash(meta, hashes) != m.get("content_hash"):
         raise CheckpointError(f"content hash mismatch in {directory}")
-    expected = dict(shapes_of(m))
-    missing, unexpected = set(expected) - set(entries), set(entries) - set(expected)
-    if missing or unexpected:
-        raise CheckpointError(f"tensor names in {directory} do not match: missing "
-                              f"{sorted(missing)}, unexpected {sorted(unexpected)}")
-    arrays = {}
-    for name, shape in expected.items():
-        if shapes[name] != list(shape):
-            raise CheckpointError(f"shape mismatch for tensor {name!r} in {directory}: "
-                                  f"manifest {shapes[name]}, expected {list(shape)}")
-        arrays[name] = read_tensor(os.path.join(directory, subdir), name, shape, dtype,
-                                   expected_sha=hashes[name])
-    return m, arrays
+
+    def load(expected):
+        missing, unexpected = set(expected) - set(entries), set(entries) - set(expected)
+        if missing or unexpected:
+            raise CheckpointError(f"tensor names in {directory} do not match: missing "
+                                  f"{sorted(missing)}, unexpected {sorted(unexpected)}")
+        for name, shape in expected.items():
+            if shapes[name] != list(shape):
+                raise CheckpointError(f"shape mismatch for tensor {name!r} in {directory}: "
+                                      f"manifest {shapes[name]}, expected {list(shape)}")
+        return {name: read_tensor(os.path.join(directory, subdir), name, shape, dtype,
+                                  expected_sha=hashes[name]) for name, shape in expected.items()}
+
+    return m, load

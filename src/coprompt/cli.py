@@ -21,7 +21,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .autodiff import DomainError, GradError, ShapeError
-from .checkpoints import CheckpointError, Record, read_json, require_file, write_json
+from .checkpoints import (
+    CheckpointError,
+    Record,
+    checkpoint_kind,
+    read_json,
+    require_file,
+    write_json,
+)
 from .datasets import (
     Dataset,
     DatasetError,
@@ -30,7 +37,6 @@ from .datasets import (
     make_fewshot_split,
 )
 from .encoders import (
-    BACKBONE_MANIFEST,
     DualEncoder,
     EncoderConfig,
     Tokenizer,
@@ -42,7 +48,6 @@ from .encoders import (
 )
 from .evaluation import base_to_novel_eval, cross_dataset_eval, domain_gen_eval
 from .training import (
-    FINETUNE_MANIFEST,
     NonFiniteLossError,
     TrainConfig,
     check_max_steps,
@@ -317,11 +322,11 @@ def _recorded_train_ce(ckpt):
 def cmd_eval(raw):
     cfg = EvalConfig.from_dict(raw)
     protocol, out = cfg.protocol, _require_out(cfg.out)
-    if any(os.path.exists(os.path.join(out, m)) for m in (BACKBONE_MANIFEST, FINETUNE_MANIFEST)):
+    if checkpoint_kind(out) is not None:
         raise ConfigError(f"eval out {out} holds a checkpoint or dataset manifest; "
                           "write the eval elsewhere")
     ckpt = _require_dir(cfg.checkpoint, "checkpoint")
-    if os.path.exists(os.path.join(ckpt, BACKBONE_MANIFEST)):
+    if checkpoint_kind(ckpt) == "backbone":
         model, train_cfg, manifest = load_backbone(ckpt), None, None
     else:
         model, train_cfg, manifest = load_finetune_checkpoint(ckpt, backbone_dir=cfg.backbone)
@@ -459,9 +464,10 @@ def _run_axes(bb_dir, ds_dir, out, base_train, seeds, axes):
     median table per axis; returns the per-run results.
 
     `axes` holds (axis, rows, rows_dir) triples. A row is (label, {dotted
-    train-config path: value}); it runs under `rows_dir/<label>_seed<seed>`.
+    train-config path: value}); it runs under `rows_dir/<label>_seed<seed>`,
+    and two runs bound for one directory are refused before any runs.
     """
-    jobs = []
+    jobs, row_dirs = [], set()
     for axis, rows, rows_dir in axes:
         for label, paths in rows:
             train = json.loads(json.dumps(base_train))  # deep copy
@@ -471,14 +477,26 @@ def _run_axes(bb_dir, ds_dir, out, base_train, seeds, axes):
                 raise ConfigError('train.seed is set per run by "seeds"; list the seeds '
                                   'there, not in "train" or as a sweep axis')
             for seed in seeds:
+                row_dir = os.path.join(rows_dir, f"{label}_seed{seed}")
+                if row_dir in row_dirs:
+                    raise ConfigError(f"two runs would write {row_dir}; list each value, "
+                                      "seed and axis once")
+                row_dirs.add(row_dir)
                 jobs.append((axis, label, FinetuneConfig.from_dict({
                     "backbone": bb_dir, "dataset": ds_dir, "train": dict(train, seed=seed),
-                    "out": os.path.join(rows_dir, f"{label}_seed{seed}")})))
+                    "out": row_dir})))
     results = _run_jobs(jobs)
     os.makedirs(out, exist_ok=True)
     for axis, rows, _ in axes:
         _write_axis_summary(out, axis, [label for label, _ in rows], results)
     return results
+
+
+def _refuse_empty(cfg, *keys):
+    """Refuse an empty list at any of `keys`: a study of no runs."""
+    for key in keys:
+        if not getattr(cfg, key):
+            cfg.refuse(key, "must not be empty", ConfigError)
 
 
 @dataclass
@@ -492,6 +510,9 @@ class AblateConfig(Record):
     # a plain dict: each row patches it by dotted path before it is read as
     # a TrainConfig, and a seed set in it is refused
     train: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _refuse_empty(self, "seeds", "axes")
 
 
 def cmd_ablate(cfg):
@@ -525,6 +546,9 @@ class SweepConfig(Record):
     values: list
     seeds: list[int] = field(default_factory=lambda: [0])
     train: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _refuse_empty(self, "seeds", "values")
 
 
 def cmd_sweep(cfg):

@@ -131,10 +131,10 @@ class EncoderConfig(Record):
             if value < 1:
                 self.refuse(key, f"must be >= 1, got {value}")
         if self.width % self.heads != 0:
-            raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
+            self.refuse("heads", f"must divide width {self.width}, got {self.heads}")
         if self.image_size % self.patch_grid != 0:
-            raise ValueError(
-                f"image_size {self.image_size} not divisible by patch_grid {self.patch_grid}")
+            self.refuse("patch_grid",
+                        f"must divide image_size {self.image_size}, got {self.patch_grid}")
 
     @property
     def num_patches(self):
@@ -542,9 +542,6 @@ def contrastive_pretrain(enc, split: PretrainSplit, epochs=6, lr=0.05,
 # backbone checkpoints
 
 
-BACKBONE_MANIFEST = "manifest.json"
-
-
 def _backbone_checkpoint(enc: DualEncoder):
     """(metadata, tensors) of `enc`'s backbone checkpoint."""
     # displayed tau comes from the narrowed (f32) log_tau so that
@@ -568,23 +565,18 @@ def backbone_identity(enc: DualEncoder) -> str:
 
 def save_backbone(directory, enc: DualEncoder):
     """Write config + vocab + per-weight f32 tensor files; returns the content hash."""
-    return write_checkpoint(directory, *_backbone_checkpoint(enc), manifest=BACKBONE_MANIFEST)
+    return write_checkpoint(directory, *_backbone_checkpoint(enc))
 
 
 def load_backbone(directory) -> DualEncoder:
     """Load a frozen backbone through the verifying `read_checkpoint`; the
     weight names and shapes come from `weight_spec`, so nothing is drawn at
     random. The encoder records `directory`."""
-
-    def weight_shapes(manifest):
-        config = EncoderConfig.from_dict(manifest["config"])
-        return {name: shape for name, shape, _ in weight_spec(config, len(manifest["vocab"]))}
-
-    manifest, arrays = read_checkpoint(directory, "backbone", weight_shapes,
-                                       manifest=BACKBONE_MANIFEST)
+    manifest, load = read_checkpoint(directory, "backbone")
+    config = EncoderConfig.from_dict(manifest["config"])
+    arrays = load({name: shape for name, shape, _ in weight_spec(config, len(manifest["vocab"]))})
     # pop as we copy: one copy of the weights at a time
     weights = {name: Tensor(arrays.pop(name)) for name in list(arrays)}
-    enc = DualEncoder._holding(EncoderConfig.from_dict(manifest["config"]),
-                               Tokenizer.from_dict(manifest["vocab"]), weights)
+    enc = DualEncoder._holding(config, Tokenizer.from_dict(manifest["vocab"]), weights)
     enc.directory = directory
     return enc

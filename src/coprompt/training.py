@@ -54,7 +54,13 @@ from .encoders import (
     load_backbone,
     template_tokens,
 )
-from .tuning import PromptSet, apply_adapter, make_adapters, trainable_parameters
+from .tuning import (
+    ADAPTER_MODALITIES,
+    PromptSet,
+    apply_adapter,
+    make_adapters,
+    trainable_parameters,
+)
 
 
 class NonFiniteLossError(RuntimeError):
@@ -89,10 +95,17 @@ class TrainConfig(Record):
 
     def __post_init__(self):
         for key, value, least in (("lambda", self.lambda_, 0), ("shots", self.shots, 1),
-                                  ("batch_size", self.batch_size, 1), ("epochs", self.epochs, 0)):
+                                  ("batch_size", self.batch_size, 1), ("epochs", self.epochs, 0),
+                                  ("prompt_m", self.prompt_m, 0),
+                                  ("prompt_depth", self.prompt_depth or 0, 0)):
             if value < least:
                 self.refuse(key, f"must be >= {least}, got {value}")
         check_sgd(self)
+        if self.adapter_modality not in ADAPTER_MODALITIES:
+            self.refuse("adapter_modality", f"must be one of {list(ADAPTER_MODALITIES)}, "
+                                            f"got {self.adapter_modality!r}")
+        if not 1 <= self.adapter_layers <= 3:
+            self.refuse("adapter_layers", f"must be in 1-3, got {self.adapter_layers}")
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +199,8 @@ def tuned_model(backbone: DualEncoder, cfg: TrainConfig) -> TunedModel:
     init_rng, _, _ = _seed_streams(cfg.seed)
     layers = backbone.config.layers
     depth = layers if cfg.prompt_depth is None else cfg.prompt_depth
+    if depth > layers:  # the config alone cannot know the backbone's layer count
+        cfg.refuse("train.prompt_depth", f"must be <= the backbone's {layers} layers, got {depth}")
     prompt_set = PromptSet(backbone.config.width, layers, m=cfg.prompt_m, depth=depth,
                            rng=init_rng)
     adapters = make_adapters(backbone.config.embed_dim, cfg.adapter_modality,
@@ -339,18 +354,17 @@ class Trainer:
             "history": self.history,
             "config": self.cfg.to_dict(),
             "format_version": FORMAT_VERSION,
-        }, tensors, manifest=STATE_MANIFEST, dtype="f64")
+        }, tensors)
 
     @staticmethod
     def restore(backbone, cfg, data, directory):
         """A trainer at the saved step; refuses a state saved under another config."""
         trainer = Trainer(backbone, cfg, data)
-        shapes = {p + name: t.shape for p in ("param.", "vel.") for name, t in trainer.params}
-        state, arrays = read_checkpoint(directory, "train_state", lambda _: shapes,
-                                        manifest=STATE_MANIFEST, dtype="f64")
+        state, load = read_checkpoint(directory, "train_state")
         if canonical_json(state["config"]) != canonical_json(cfg.to_dict()):
             raise CheckpointError(f"train state in {directory} was saved under another "
                                   "config than the one given")
+        arrays = load({p + n: t.shape for p in ("param.", "vel.") for n, t in trainer.params})
         for i, (name, t) in enumerate(trainer.params):
             t.data = arrays["param." + name]
             trainer.opt.velocities[i] = arrays["vel." + name]
@@ -411,11 +425,6 @@ def measure_train_state(model: TunedModel, data: FewShotSplit, cons: Consistency
 # finetune checkpoints
 
 
-FINETUNE_MANIFEST = "config.json"
-TUNED_DIR = "tuned"
-STATE_MANIFEST = "state.json"
-
-
 @dataclass
 class FinetuneResult:
     model: TunedModel
@@ -443,8 +452,7 @@ def save_finetune_checkpoint(directory, trainer: Trainer, metrics):
         "shots_seed": trainer.data.seed,
         HINT: {"backbone_dir": trainer.backbone.directory},
     }
-    chash = write_checkpoint(directory, meta, [(n, t.data) for n, t in trainer.params],
-                             manifest=FINETUNE_MANIFEST, subdir=TUNED_DIR)
+    chash = write_checkpoint(directory, meta, [(n, t.data) for n, t in trainer.params])
     write_json(os.path.join(directory, "metrics.json"), metrics)
     _write_history_csv(os.path.join(directory, "history.csv"), trainer.history)
     return chash
@@ -455,29 +463,24 @@ def load_finetune_checkpoint(directory, backbone: DualEncoder | None = None,
     """Rebuild the tuned model on `backbone`, else the one in `backbone_dir`,
     else the one in the directory the checkpoint's hint names; refuses a
     backbone whose content hash is not the recorded `backbone_hash`."""
-    model = None
-
-    def tuned_shapes(manifest):
-        nonlocal backbone, model
-        if backbone is None:
-            hint = manifest.get(HINT)  # unhashed: any JSON value may stand here
-            bb_dir = backbone_dir or (hint.get("backbone_dir") if isinstance(hint, dict) else None)
-            if not isinstance(bb_dir, str) or not os.path.isdir(bb_dir):
-                raise CheckpointError(f"backbone of {directory} not found at {bb_dir}; "
-                                      "name the backbone it was trained on")
-            backbone = load_backbone(bb_dir)
-        if backbone_identity(backbone) != manifest["backbone_hash"]:
-            raise CheckpointError("backbone content hash does not match the checkpoint's "
-                                  "backbone_hash: it was trained on another backbone")
-        model = tuned_model(backbone, TrainConfig.from_dict(manifest["train"]))
-        return {name: t.shape for name, t in model.params}
-
-    manifest, arrays = read_checkpoint(directory, "finetune", tuned_shapes,
-                                       manifest=FINETUNE_MANIFEST, subdir=TUNED_DIR)
+    manifest, load = read_checkpoint(directory, "finetune")
+    if backbone is None:
+        hint = manifest.get(HINT)  # unhashed: any JSON value may stand here
+        bb_dir = backbone_dir or (hint.get("backbone_dir") if isinstance(hint, dict) else None)
+        if not isinstance(bb_dir, str) or not os.path.isdir(bb_dir):
+            raise CheckpointError(f"backbone of {directory} not found at {bb_dir}; "
+                                  "name the backbone it was trained on")
+        backbone = load_backbone(bb_dir)
+    if backbone_identity(backbone) != manifest["backbone_hash"]:
+        raise CheckpointError("backbone content hash does not match the checkpoint's "
+                              "backbone_hash: it was trained on another backbone")
+    cfg = TrainConfig.from_dict(manifest["train"])
+    model = tuned_model(backbone, cfg)
+    arrays = load({name: t.shape for name, t in model.params})
     for name, t in model.params:
         t.data = arrays[name]
         t.requires_grad = False
-    return model, TrainConfig.from_dict(manifest["train"]), manifest
+    return model, cfg, manifest
 
 
 def finetune(backbone: DualEncoder, cfg: TrainConfig, data: FewShotSplit,

@@ -15,6 +15,7 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 
 ADAPTER_BRANCHES = ("text", "image")
+ADAPTER_MODALITIES = ("none", "text", "image", "both")
 
 
 class PromptSet:
@@ -130,7 +131,7 @@ def apply_adapter(adapter, e):
 
 def make_adapters(embed_dim, modality="both", n_layers=2, rng=None):
     """Adapter pair keyed by branch; entries are None where disabled."""
-    if modality not in ("none", "text", "image", "both"):
+    if modality not in ADAPTER_MODALITIES:
         raise ValueError(f"unknown adapter modality {modality!r}")
     rng = rng or np.random.default_rng(0)
     text = Adapter(embed_dim, n_layers, branch="text",

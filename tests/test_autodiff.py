@@ -441,3 +441,40 @@ def test_tensor_file_hash_verification(tmp_path):
         f.write(b"\xff")
     with pytest.raises(CheckpointError, match="hash mismatch"):
         read_tensor(str(tmp_path), "w", (4,), expected_sha=sha)
+
+
+@pytest.mark.parametrize("kind", ["backbone", "finetune", "train_state"])
+def test_checkpoint_layout_roundtrip(tmp_path, kind):
+    """Each kind's manifest and tensors go where `LAYOUTS` puts them, at its
+    dtype, and read back through the loader; `checkpoint_kind` names it."""
+    from coprompt.checkpoints import (
+        FORMAT_VERSION,
+        LAYOUTS,
+        checkpoint_hash,
+        checkpoint_kind,
+        read_checkpoint,
+        write_checkpoint,
+    )
+
+    manifest, subdir, dtype = LAYOUTS[kind]
+    arr = np.random.default_rng(3).normal(size=(2, 3))
+    meta = {"kind": kind, "format_version": FORMAT_VERSION}
+    assert checkpoint_kind(str(tmp_path)) is None
+    chash = write_checkpoint(str(tmp_path), meta, [("w", arr)])
+    assert chash == checkpoint_hash(meta, [("w", arr)])
+    assert (tmp_path / manifest).is_file()
+    assert (tmp_path / subdir / "w.bin").stat().st_size == arr.size * {"f32": 4, "f64": 8}[dtype]
+    assert checkpoint_kind(str(tmp_path)) == kind
+    m, load = read_checkpoint(str(tmp_path), kind)
+    assert m["content_hash"] == chash
+    assert np.array_equal(load({"w": (2, 3)})["w"],
+                          arr.astype(np.float32 if dtype == "f32" else np.float64))
+
+
+def test_checkpoint_kind_prefers_manifest_json(tmp_path):
+    from coprompt.checkpoints import checkpoint_kind
+
+    for name, kind in [("state.json", "train_state"), ("config.json", "finetune"),
+                       ("manifest.json", "backbone")]:
+        (tmp_path / name).write_text("{}")
+        assert checkpoint_kind(str(tmp_path)) == kind

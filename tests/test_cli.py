@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from coprompt import checkpoints, evaluation
-from coprompt.checkpoints import CheckpointError, read_json, write_json
+from coprompt.checkpoints import (
+    FORMAT_VERSION,
+    CheckpointError,
+    read_json,
+    write_checkpoint,
+    write_json,
+)
 from coprompt.cli import main
 from coprompt.datasets import SOURCE_FAMILY, TARGET_FAMILIES, VARIANT_SHIFTS, Dataset
 from coprompt.encoders import (
@@ -332,7 +338,7 @@ def test_moved_finetune_evaluates_with_its_backbone_named(rig, tmp_path, capsys)
     assert not (new / "ev" / "report.json").exists()
 
 
-@pytest.mark.parametrize("target", ["finetune", "backbone"])
+@pytest.mark.parametrize("target", ["finetune", "backbone", "train_state"])
 def test_eval_refuses_to_write_over_a_checkpoint(rig, tmp_path, capsys, target):
     """An eval `out` that holds a checkpoint manifest exits 2 with one
     `error:` line, and every file of the checkpoint is left byte-unchanged."""
@@ -342,7 +348,10 @@ def test_eval_refuses_to_write_over_a_checkpoint(rig, tmp_path, capsys, target):
     dataset = str(suite_dir / SOURCE_FAMILY)
     assert main(["finetune", "--config", _write(tmp_path / "f.json", {
         "backbone": str(bb), "dataset": dataset, "out": str(ft), "train": TINY_TRAIN})]) == 0
-    out = {"finetune": ft, "backbone": bb}[target]
+    out = {"finetune": ft, "backbone": bb, "train_state": tmp_path / "state"}[target]
+    if target == "train_state":
+        write_checkpoint(str(out), {"kind": "train_state", "format_version": FORMAT_VERSION}, [])
+        assert os.listdir(out) == ["state.json"]
     before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
     capsys.readouterr()
     assert main(["eval", "--config", _write(tmp_path / "e.json", {
@@ -659,6 +668,22 @@ def _backbone_of_image_size_16(ds, cfg):
     ("pretrain", ["lr=0"], None, "'lr'"),
     ("sweep", [], {"COPROMPT_THREADS": "abc"}, "COPROMPT_THREADS"),
     ("sweep", [], {"COPROMPT_THREADS": "0"}, "COPROMPT_THREADS"),
+    ("sweep", ["values=[2.0,2.0]"], None, "out/rows/2.0_seed0"),
+    ("sweep", ["seeds=[0,0]"], None, "out/rows/1.0_seed0"),
+    ("sweep", ["values=[]"], None, "'values'"),
+    ("sweep", ["seeds=[]"], None, "'seeds'"),
+    ("ablate", ["axes=[]"], None, "'axes'"),
+    ("ablate", ["seeds=[]"], None, "'seeds'"),
+    ("ablate", ['axes=["lambda","lambda"]'], None, "out/rows/lambda/0.1_seed0"),
+    ("finetune", ["train.adapter_modality=foo"], None, "'train.adapter_modality'"),
+    ("finetune", ["train.adapter_modality=none", "train.adapter_layers=5"], None,
+     "'train.adapter_layers'"),
+    ("finetune", ["train.adapter_layers=0"], None, "'train.adapter_layers'"),
+    ("finetune", ["train.prompt_m=-1"], None, "'train.prompt_m'"),
+    ("finetune", ["train.prompt_depth=-1"], None, "'train.prompt_depth'"),
+    ("finetune", ["train.prompt_depth=9"], None, "'train.prompt_depth'"),
+    ("pretrain", ["encoder.heads=3"], None, "'encoder.heads'"),
+    ("pretrain", ["encoder.patch_grid=5"], None, "'encoder.patch_grid'"),
 ], ids=["train_lr_string", "train_shots_float", "train_consistency_int", "train_int",
         "override_inside_train_int", "train_lambda_bool", "gen_data_source_counts_int",
         "eval_targets_int", "eval_variants_int", "eval_targets_empty",
@@ -675,7 +700,13 @@ def _backbone_of_image_size_16(ds, cfg):
         "pretrain_epochs_0", "pretrain_batch_size_1", "finetune_manifest_format_version_7",
         "eval_manifest_format_version_7", "finetune_backbone_of_another_image_size",
         "eval_backbone_of_another_image_size", "train_shots_0", "train_lr_negative",
-        "train_momentum_5", "pretrain_lr_0", "threads_env_not_an_integer", "threads_env_0"])
+        "train_momentum_5", "pretrain_lr_0", "threads_env_not_an_integer", "threads_env_0",
+        "sweep_values_repeated", "sweep_seeds_repeated", "sweep_values_empty",
+        "sweep_seeds_empty", "ablate_axes_empty", "ablate_seeds_empty", "ablate_axes_repeated",
+        "train_adapter_modality_unknown", "train_adapter_layers_5_without_adapters",
+        "train_adapter_layers_0", "train_prompt_m_negative", "train_prompt_depth_negative",
+        "train_prompt_depth_over_layers", "encoder_heads_not_dividing_width",
+        "encoder_patch_grid_not_dividing_image_size"])
 def test_malformed_input_exits_2(rig, tmp_path, capsys, monkeypatch, command, overrides,
                                  corrupt, named):
     """Every unknown, missing, wrong-typed or out-of-range config, manifest

@@ -64,9 +64,9 @@ def test_tokenizer_deterministic_order():
 
 
 def test_config_invariants():
-    with pytest.raises(ValueError, match="divisible"):
+    with pytest.raises(ValueError, match="'heads' must divide width 64"):
         EncoderConfig(width=64, heads=5)
-    with pytest.raises(ValueError, match="divisible"):
+    with pytest.raises(ValueError, match="'patch_grid' must divide image_size 30"):
         EncoderConfig(image_size=30, patch_grid=4)
     cfg = EncoderConfig()
     assert cfg.num_patches == 16
