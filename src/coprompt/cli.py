@@ -465,7 +465,7 @@ def _run_axes(bb_dir, ds_dir, out, base_train, seeds, axes):
 
     `axes` holds (axis, rows, rows_dir) triples. A row is (label, {dotted
     train-config path: value}); it runs under `rows_dir/<label>_seed<seed>`,
-    and two runs bound for one directory are refused before any runs.
+    and two runs bound for one directory are refused before any run starts.
     """
     jobs, row_dirs = [], set()
     for axis, rows, rows_dir in axes:
